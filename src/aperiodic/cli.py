@@ -25,7 +25,7 @@ from .families import (
     parse_distribution,
     parse_structure,
 )
-from .optimizer import max_sctree, max_unitary, UiDpTable, SctiDpTable
+from .optimizer import SctiDpTable, UiDpTable
 from .rng import SplitMix64
 from .search import max_aperiodic
 from .semigroups import DEFAULT_ELEMENT_BUDGET, is_aperiodic
@@ -133,7 +133,7 @@ def _table_value(cls: str, n: int, ui_table, scti_table):
 
 def cmd_table(args) -> int:
     if not (1 <= args.min <= args.max <= UI_CAP):
-        raise SystemExit(f"need 1 <= min <= max <= {UI_CAP}")
+        raise ValueError(f"need 1 <= min <= max <= {UI_CAP}")
     classes = TABLE_CLASSES if args.classes is None else tuple(args.classes.split(","))
     for cls in classes:
         if cls not in TABLE_CLASSES:
@@ -237,16 +237,17 @@ def cmd_family(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    cap = UI_CAP if args.kind == "ui" else SCTI_CAP
+    if not 1 <= args.n <= cap:
+        raise ValueError(f"optimize {args.kind} needs 1 <= n <= {cap}")
+    t0 = time.monotonic()
     if args.kind == "ui":
-        if args.n > UI_CAP:
-            raise SystemExit(f"optimize ui is capped at n = {UI_CAP}")
-        t0 = time.monotonic()
-        value, witness = max_unitary(args.n)
+        table = UiDpTable.compute(args.n)
+        value = table.values[args.n]
     else:
-        if args.n > SCTI_CAP:
-            raise SystemExit(f"optimize scti is capped at n = {SCTI_CAP}")
-        t0 = time.monotonic()
-        value, witness = max_sctree(args.n)
+        table = SctiDpTable.compute(args.n)
+        value = table.value(args.n)
+    witness = table.witness()
     elapsed = time.monotonic() - t0
     row = {
         "kind": args.kind,
@@ -257,7 +258,8 @@ def cmd_optimize(args) -> int:
         "seconds": round(elapsed, 3),
     }
     return _emit(args, [row],
-                 ("kind", "n", "value", "witness", "provenance", "seconds"), [])
+                 ("kind", "n", "value", "witness", "provenance", "seconds"), [],
+                 {"stats": table.stats._asdict()})
 
 
 def cmd_search(args) -> int:

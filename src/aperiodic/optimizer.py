@@ -1,14 +1,22 @@
 """The two O(n^3) maximization dynamic programs and their brute-force oracle.
 
-Both optimize exact integer sizes; comparisons are on full values, never on
-floating approximations, because maxima can differ in low-order digits.
+Both optimize exact integer sizes.  Floats only screen: a candidate is
+skipped when a proven upper bound on its natural log falls below the log of
+a value already attained by more than a relative slack (1e-9 * (|x| + 1),
+far above float error), so it is provably worse than the maximum.  Every
+comparison that sets a value or a witness is an exact int comparison, so
+the tables and tie-breaking are those of the unscreened loops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
+from math import comb, exp, expm1, inf, log, log1p, sqrt
+from operator import add
+from typing import NamedTuple
 
-from .combinatorics import bipath_k_partial, sctree_size, unitary_family_size
+from .combinatorics import bipath_k_partial, unitary_family_size
 from .families import (
     Distribution,
     StructureTree,
@@ -17,6 +25,33 @@ from .families import (
     node,
     parse_structure,
 )
+
+
+class DpStats(NamedTuple):
+    """Candidates a DP considered and those it evaluated exactly."""
+
+    considered: int
+    exact: int
+
+
+def _cutoff(level: float) -> float:
+    """Skip threshold: a log bound below this is provably below exp(level)."""
+    return level - 1e-9 * (abs(level) + 1.0)
+
+
+def _bipath_log_bounds(n: int) -> tuple[list[float], list[float], list[float]]:
+    """Tables for log m_bi(j,k) <= min(logc[j] + j*log1[k], j*steep[k]).
+
+    m_bi(j,k) = sum over h of k^(j-h) C(j,h) C(j+h-1,h).  Since
+    C(j+h-1,h) <= C(2j-1,j), it is at most C(2j-1,j) (k+1)^j; since
+    C(j,h) <= j^h/h! and C(j+h-1,h) <= (2j)^h/h!, it is at most
+    k^j sum_h (2j^2/k)^h/(h!)^2 <= k^j e^(2j sqrt(2/k)).  The second bound
+    needs k >= 1; steep[0] is inf so the first one applies.
+    """
+    logc = [0.0] + [log(comb(2 * j - 1, j)) for j in range(1, n + 1)]
+    log1 = [log(k + 1) for k in range(n + 1)]
+    steep = [inf] + [log(k) + 2.0 * sqrt(2.0 / k) for k in range(1, n + 1)]
+    return logc, log1, steep
 
 
 @dataclass(frozen=True)
@@ -28,29 +63,46 @@ class UiDpTable:
     block's factor (its tail count is i - j) by the best arrangement of the
     remaining i - j states, mirroring that every suffix of a maximal
     distribution is maximal.
+
+    Each row starts from the previous row's argmax; any other j is evaluated
+    exactly only when log values[i-j] plus the bipath log bound reaches the
+    cutoff below the best so far.  stats counts the (i, j) candidates and
+    the exact evaluations among them.
     """
 
     n: int
     values: tuple[int, ...]
     first_part: tuple[int, ...]
+    stats: DpStats = field(compare=False)
 
     @classmethod
     def compute(cls, n: int) -> "UiDpTable":
         if n < 0:
             raise ValueError("n must be non-negative")
+        logc, log1, steep = _bipath_log_bounds(n)
         values = [1] * (n + 1)
+        logv = [0.0] * (n + 1)
         first = [0] * (n + 1)
+        exact = 0
         for i in range(1, n + 1):
-            best = None
-            best_j = 0
+            start = best_j = first[i - 1] or 1
+            best = values[i - start] * bipath_k_partial(start, i - start)
+            exact += 1
+            cut = _cutoff(log(best))
             for j in range(1, i + 1):
-                candidate = values[i - j] * bipath_k_partial(j, i - j)
-                if best is None or candidate > best:
+                k = i - j
+                if j == start or logv[k] + min(logc[j] + j * log1[k], j * steep[k]) < cut:
+                    continue
+                exact += 1
+                candidate = values[k] * bipath_k_partial(j, k)
+                if candidate > best or (candidate == best and j < best_j):
                     best = candidate
                     best_j = j
+                    cut = _cutoff(log(best))
             values[i] = best
+            logv[i] = log(best)
             first[i] = best_j
-        return cls(n, tuple(values), tuple(first))
+        return cls(n, tuple(values), tuple(first), DpStats(n * (n + 1) // 2, exact))
 
     def witness(self, i: int | None = None) -> Distribution:
         i = self.n if i is None else i
@@ -78,18 +130,36 @@ class SctiDpTable:
     subtree size r (the candidate splits combine the left best at k' = r + k
     with the right best at k); ties prefer the leaf, then the smallest left
     subtree.
+
+    Split r is A + C with A = values[r+k][s-r] * values[k][r] and
+    C = (s-r)(k+1)^(s-r)((k+1)^r - k^r).  The logs a = log A come from float
+    logs of the table, kept by anti-diagonal k' + s' so that the a terms of
+    one (s, k) are one contiguous slice; c = log C is exact up to rounding.
+    Every A, C(2s-1,s) and k^s is attained (the last two lower-bound the
+    leaf), and so is A + C, whose log is max(a,c) + log1p(exp(-|a-c|)) up to
+    rounding.  The largest of these logs is a level the maximum reaches; a
+    split is evaluated exactly only when its log-sum reaches the cutoff
+    below the level, the leaf only when its bipath log bound does.  Before the
+    log-sum, a vectorized pass drops every split whose a is too small even
+    with C at its largest over all splits.  stats counts the candidates
+    (leaf and splits of every (s, k)) and the exact evaluations among them.
     """
 
     n: int
     values: tuple[tuple[int, ...], ...]   # values[k][s], s <= n - k
     split: tuple[tuple[int, ...], ...]
+    stats: DpStats = field(compare=False)
 
     @classmethod
     def compute(cls, n: int) -> "SctiDpTable":
         if n < 1:
             raise ValueError("n must be at least 1")
+        logc, log1, steep = _bipath_log_bounds(n)
+        log_k = [-inf] + [log(k) for k in range(1, n + 1)]
+        diagonal = [[0.0] * (d + 1) for d in range(n + 1)]  # [k'+s'][k']
         values: list[tuple[int, ...]] = [()] * (n + 1)
         split: list[tuple[int, ...]] = [()] * (n + 1)
+        considered = exact = 0
         for k in range(n - 1, -1, -1):
             s_max = n - k
             pow_k = [1] * (s_max + 1)
@@ -98,24 +168,51 @@ class SctiDpTable:
                 pow_k[e] = pow_k[e - 1] * k
                 pow_k1[e] = pow_k1[e - 1] * (k + 1)
             vcol = [0] * (s_max + 1)
+            lcol = [0.0] * (s_max + 1)
             scol = [0] * (s_max + 1)
+            shrink = -log1p(1 / k) if k else -inf  # log(k / (k+1))
             for s in range(1, s_max + 1):
-                best = bipath_k_partial(s, k)
-                best_r = 0
-                for r in range(s - 1, 0, -1):  # left size s - r ascending
+                considered += s
+                # a[r - 1] = log values[r + k][s - r] + log values[k][r]
+                a = list(map(add, diagonal[s + k][k + 1:k + s], lcol[1:s]))
+                level = max(max(a, default=-inf), logc[s], s * log_k[k])
+                cut = _cutoff(level)
+                # C = (s-r)(k+1)^s (1 - (k/(k+1))^r) <= (k+1)^s min(s-1, s^2/(4k+4))
+                # =: e^c_max for every r, as 1 - q^r <= r(1-q); so a < floor
+                # gives log(A + C) <= log(e^a + e^c_max) < cut
+                c_top = s * log1[k]
+                c_max = c_top + log(min(s - 1, s * s / (4 * k + 4))) if s > 1 else -inf
+                floor = cut + log(-expm1(c_max - cut)) if c_max < cut else -inf
+                bounds = []
+                for r in compress(range(1, s), map(floor.__le__, a)):
+                    ar = a[r - 1]
+                    cr = log(s - r) + c_top + log(-expm1(r * shrink))
+                    bounds.append((r, max(ar, cr) + log1p(exp(-abs(ar - cr)))))
+                if bounds:
+                    cut = _cutoff(max(level, max(bound for _, bound in bounds)))
+                best = None
+                if min(logc[s] + s * log1[k], s * steep[k]) >= cut:
+                    exact += 1
+                    best = bipath_k_partial(s, k)
+                    best_r = 0
+                for r, bound in reversed(bounds):  # left size s - r ascending
+                    if bound < cut:
+                        continue
+                    exact += 1
                     lsize = s - r
                     candidate = (
                         values[r + k][lsize] * vcol[r]
                         + lsize * pow_k1[lsize] * (pow_k1[r] - pow_k[r])
                     )
-                    if candidate > best:
+                    if best is None or candidate > best:
                         best = candidate
                         best_r = r
                 vcol[s] = best
+                lcol[s] = diagonal[s + k][k] = log(best)
                 scol[s] = best_r
             values[k] = tuple(vcol)
             split[k] = tuple(scol)
-        return cls(n, tuple(values), tuple(split))
+        return cls(n, tuple(values), tuple(split), DpStats(considered, exact))
 
     def value(self, s: int, k: int = 0) -> int:
         return self.values[k][s]
@@ -197,11 +294,3 @@ def exhaustive_max(kind: str, n: int):
         return _exhaustive_sctree(n)
     raise ValueError(f"unknown kind {kind!r}")
 
-
-def reevaluate(kind: str, witness) -> int:
-    """Evaluate a witness through the public formulas (round-trip check)."""
-    if kind == "ui":
-        return unitary_family_size(witness)
-    if kind == "scti":
-        return sctree_size(witness)
-    raise ValueError(f"unknown kind {kind!r}")

@@ -55,3 +55,9 @@ SCTI_WITNESS_100 = (
 )
 
 STRUCTURE_COUNTS = [_, 1, 2, 5, 15, 51, 188, 731, 2950, 12235, 51822, 223191, 974427]
+
+# sha256 of repr((values, first_part)) of UiDpTable.compute(1000) and of
+# repr((values, split)) of SctiDpTable.compute(500), both from the
+# unscreened DPs; the screened tables must reproduce them bit for bit
+UI_1000_TABLE_SHA256 = "505a70dfc0801f9f2ca48b163c723201fd3ca8523b89168f2dd597e95f522192"
+SCTI_500_TABLE_SHA256 = "0ee85b759e5a8633c86c07a2b569008cbc72f665d8b4ffb9e31b5a720bfcbbd8"

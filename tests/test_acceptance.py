@@ -7,6 +7,7 @@ enumeration for the counting rows, brute force for the DPs, raw closure for
 the family formulas.
 """
 
+import hashlib
 import time
 
 from aperiodic.combinatorics import (
@@ -44,7 +45,9 @@ from reference_tables import (
     PART_MON,
     R_TRIVIAL,
     SC_TREE,
+    SCTI_500_TABLE_SHA256,
     SCTI_WITNESS_6,
+    UI_1000_TABLE_SHA256,
     UI_WITNESS_100,
 )
 
@@ -179,11 +182,16 @@ def test_c10_scaling_runs():
     ui_elapsed = time.monotonic() - t0
     assert ui_elapsed < 600, f"max_unitary(1000) took {ui_elapsed:.0f}s"
     assert unitary_family_size(ui_table.witness(1000)) == ui_table.values[1000]
+    ui_digest = hashlib.sha256(repr((ui_table.values, ui_table.first_part)).encode())
+    assert ui_digest.hexdigest() == UI_1000_TABLE_SHA256
 
     t0 = time.monotonic()
-    value_sc, witness_sc = max_sctree(500)
+    sc_table = SctiDpTable.compute(500)
+    value_sc, witness_sc = sc_table.value(500), sc_table.witness()
     sc_elapsed = time.monotonic() - t0
     assert sc_elapsed < 1800, f"max_sctree(500) took {sc_elapsed:.0f}s"
+    sc_digest = hashlib.sha256(repr((sc_table.values, sc_table.split)).encode())
+    assert sc_digest.hexdigest() == SCTI_500_TABLE_SHA256
     assert sctree_size(witness_sc) == value_sc
     assert value_sc >= ui_table.values[500]  # trees dominate at equal n
 

@@ -136,9 +136,27 @@ def test_optimize_commands(capsys):
     assert unitary_family_size(parse_distribution(row["witness"])) == int(row["value"])
 
     code, out, _ = run(capsys, "optimize", "scti", "6", "--format", "json")
-    row = json.loads(out)["rows"][0]
+    payload = json.loads(out)
+    row = payload["rows"][0]
     assert row["value"] == "1849"
     assert sctree_size(parse_structure(row["witness"])) == 1849
+    stats = payload["stats"]
+    assert stats["considered"] == sum(s * (7 - s) for s in range(1, 7))
+    assert 1 <= stats["exact"] <= stats["considered"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("optimize", "ui", "1001"),
+    ("optimize", "scti", "501"),
+    ("optimize", "ui", "0"),
+    ("table", "--max", "1001"),
+    ("table", "--min", "0"),
+])
+def test_out_of_domain_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_search_command(capsys):

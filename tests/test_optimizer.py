@@ -19,6 +19,7 @@ from aperiodic.optimizer import (
     max_unitary,
 )
 
+import dp_oracle
 from reference_tables import COMP_UNITARY, SC_TREE, SCTI_WITNESS_100, UI_WITNESS_100
 
 
@@ -71,6 +72,23 @@ def test_sctree_tie_breaking_prefers_leaf():
     assert max_sctree(2)[1] == leaf(2)
     table = SctiDpTable.compute(4)
     assert table.witness(2, 1) == leaf(2)
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 200])
+def test_screened_tables_match_unscreened(n):
+    ui = UiDpTable.compute(n)
+    assert (ui.values, ui.first_part) == dp_oracle.ui_tables(n)
+    scti = SctiDpTable.compute(n)
+    assert (scti.values, scti.split) == dp_oracle.scti_tables(n)
+
+
+def test_screening_stats():
+    ui = UiDpTable.compute(300)
+    assert ui.stats.considered == 300 * 301 // 2
+    assert 300 <= ui.stats.exact < ui.stats.considered // 2
+    scti = SctiDpTable.compute(200)
+    assert scti.stats.considered == sum(s * (201 - s) for s in range(1, 201))
+    assert 200 * 201 // 2 <= scti.stats.exact < scti.stats.considered // 10
 
 
 def test_dp_matches_exhaustive():
