@@ -55,7 +55,7 @@ def default_budget() -> int:
         try:
             return int(raw)
         except ValueError:
-            raise SystemExit(f"APERIODIC_BUDGET must be an integer, got {raw!r}")
+            raise ValueError(f"APERIODIC_BUDGET must be an integer, got {raw!r}")
     return DEFAULT_ELEMENT_BUDGET
 
 
@@ -137,7 +137,7 @@ def cmd_table(args) -> int:
     classes = TABLE_CLASSES if args.classes is None else tuple(args.classes.split(","))
     for cls in classes:
         if cls not in TABLE_CLASSES:
-            raise SystemExit(f"unknown class {cls!r}; choose from {', '.join(TABLE_CLASSES)}")
+            raise ValueError(f"unknown class {cls!r}; choose from {', '.join(TABLE_CLASSES)}")
     ui_table = UiDpTable.compute(min(args.max, UI_CAP)) if "comp-unitary-1" in classes else None
     scti_table = (SctiDpTable.compute(min(args.max, SCTI_CAP))
                   if "sc-tree-1" in classes else None)
@@ -287,11 +287,18 @@ def cmd_search(args) -> int:
 
 
 def cmd_reversal(args) -> int:
+    if args.dfa and args.random:
+        raise ValueError("choose either --dfa or --random")
     failures = []
     rows = []
     if args.dfa:
         with open(args.dfa, encoding="utf-8") as fh:
             d = parse_dfa(fh.read())
+        s = transition_semigroup(d, element_budget=default_budget())
+        if s.truncated:
+            raise ValueError(f"closure of {args.dfa} truncated at {len(s)} elements (budget)")
+        if not is_aperiodic(s):
+            raise ValueError(f"{args.dfa} is not aperiodic; the reversal bounds assume it is")
         records = [reversal_record(d, SplitMix64(args.seed), args.words)]
     else:
         ns = (args.n,) if args.n else (2, 3, 4, 5, 6)
@@ -323,6 +330,8 @@ def cmd_reversal(args) -> int:
 
 
 def cmd_product(args) -> int:
+    if not args.files and (args.m is None or args.fl is None):
+        raise ValueError("product needs either --files K L or both --m and --fl")
     failures = []
     rows = []
     if args.files:
@@ -376,9 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Aperiodic transition semigroups: tables, closure, families, "
                     "optimization, search, and complexity experiments.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="cap on worker threads (the implementation is "
-                             "single-threaded; accepted for compatibility)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_format(p):
@@ -420,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--max-products", type=int, default=1_000_000_000)
     p.add_argument("--max-seconds", type=float, default=3600.0)
-    p.add_argument("--checkpoint", help="resume file (one explored prefix per line)")
+    p.add_argument("--checkpoint", help="resume file (a header, then one explored branch "
+                                        "per line with its best size and witness)")
     p.add_argument("--no-seed", action="store_true",
                    help="do not seed the search with the best scti family")
     add_format(p)
@@ -448,10 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "product" and not args.files and (args.m is None or args.fl is None):
-        raise SystemExit("product needs either --files K L or both --m and --fl")
-    if args.command == "reversal" and args.dfa and args.random:
-        raise SystemExit("choose either --dfa or --random")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

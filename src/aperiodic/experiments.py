@@ -2,6 +2,9 @@
 
 The reversal run samples aperiodic DFAs, determinizes the reversed NFA and
 checks the 2^n - 1 complexity ceiling plus the subset-complement identity.
+The sampler closes a draw's letters one at a time with the early-abort
+``extend_closure``, so most rejected draws cost a few small levels rather
+than a full closure.
 The product run pairs family DFAs (single final state) with the four minimal
 aperiodic 2-state DFAs and checks the concatenation complexity ceilings
 2m + 1 (final state 1) and 3m - 2 (final state 0).
@@ -21,10 +24,23 @@ from .automata import (
 )
 from .families import build_family, enumerate_distributions, enumerate_structures
 from .rng import SplitMix64
-from .semigroups import closure, is_aperiodic
+from .semigroups import _table, extend_closure
 from .transforms import Transformation, has_cycle_images
 
 _LETTERS = "abcdefghij"
+
+
+def _closes_aperiodic(letters: list[bytes]) -> bool:
+    """True iff the semigroup the letters generate has no element with a cycle."""
+    base: set[bytes] = set()
+    tables: list[bytes] = []
+    for images in letters:
+        new = extend_closure(base, tables, images)
+        if new is None:
+            return False
+        base |= new
+        tables.append(_table(images))
+    return True
 
 
 def random_aperiodic_dfa(n: int, rng: SplitMix64, num_letters: int | None = None,
@@ -32,22 +48,24 @@ def random_aperiodic_dfa(n: int, rng: SplitMix64, num_letters: int | None = None
     """Rejection-sample a DFA whose transition semigroup is aperiodic.
 
     Letters are drawn from the cycle-free transformations; a draw is accepted
-    only when the joint closure stays aperiodic.  Finals are a non-empty
-    proper subset so the language is non-trivial.
+    only when the joint closure stays aperiodic, and rejected at the first
+    element with a cycle.  Finals are a non-empty proper subset so the
+    language is non-trivial.
     """
     if n < 2:
         raise ValueError("sampling needs n >= 2")
     for _ in range(max_attempts):
         k = num_letters if num_letters else 2 + rng.below(2)
-        delta = []
+        letters = []
         for _ in range(k):
             while True:
-                images = tuple(rng.below(n) for _ in range(n))
+                images = bytes(rng.below(n) for _ in range(n))
                 if not has_cycle_images(images):
                     break
-            delta.append(Transformation(images))
-        if not is_aperiodic(closure(delta)):
+            letters.append(images)
+        if not _closes_aperiodic(letters):
             continue
+        delta = [Transformation(tuple(images)) for images in letters]
         finals_mask = rng.below(2**n - 2) + 1  # non-empty, proper
         finals = frozenset(q for q in range(n) if finals_mask >> q & 1)
         return Dfa(n=n, alphabet=tuple(_LETTERS[:k]), delta=tuple(delta),

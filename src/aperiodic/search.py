@@ -44,6 +44,42 @@ def aperiodic_transformations(n: int) -> list[bytes]:
     ]
 
 
+def _text(images: bytes) -> str:
+    return "[" + ",".join(map(str, images)) + "]"
+
+
+def _read_checkpoint(path: str, header: str, n: int):
+    """Branches stored in a checkpoint, or None when there is none yet.
+
+    Each branch is (first generator, closure of its best witness); the
+    witness is re-closed, so a stored size that does not hold is an error
+    rather than a reported value.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [(number, line.strip()) for number, line in enumerate(fh, start=1)
+                     if line.strip()]
+    except FileNotFoundError:
+        return None
+    if not lines:
+        return None
+    if lines[0][1] != header:
+        raise ValueError(f"checkpoint {path} was written for {lines[0][1]!r}, "
+                         f"not for this run ({header!r})")
+    branches = []
+    for number, line in lines[1:]:
+        try:
+            prefix, size, *witness = line.split()
+            s = closure([Transformation.from_text(g) for g in witness])
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {path} line {number}: {exc}") from None
+        if s.n != n or str(len(s)) != size or not is_aperiodic(s):
+            raise ValueError(f"checkpoint {path} line {number}: the witness does not "
+                             f"close to an aperiodic semigroup of size {size} on {n} states")
+        branches.append((prefix, s))
+    return branches
+
+
 def _orbit_minimal(candidate: bytes, n: int) -> bool:
     """True iff candidate is the lex-least among its relabelings."""
     images = tuple(candidate)
@@ -66,6 +102,8 @@ class SearchResult:
     products_used: int
     elapsed: float
     distinct_maxima: int = 1
+    # lines this run produced: the header when it started the checkpoint,
+    # then one per finished branch
     checkpoint_lines: tuple[str, ...] = field(default=())
 
     def verify(self) -> Semigroup:
@@ -108,8 +146,13 @@ def max_aperiodic(
     """Search for the largest aperiodic transition semigroup on n states.
 
     The search is exact when it completes (``exhaustive=True``); otherwise it
-    reports the best semigroup seen.  A checkpoint file (one line per fully
-    explored first-generator branch) lets an interrupted run resume.
+    reports the best semigroup seen.  A checkpoint file lets an interrupted
+    run resume: a header line with n, the seed flag and the candidate count,
+    then one line per fully explored first-generator branch holding the
+    branch's best size and witness, e.g. ``[0,0,1] 10 [0,0,1] [1,1,1]``.  A
+    resumed run skips the stored branches and counts their results as found
+    (``distinct_maxima`` then holds one closure per stored branch); a header
+    that does not match the run is a ``ValueError``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -121,9 +164,13 @@ def max_aperiodic(
     best_size = 0
     best_gens: tuple[Transformation, ...] = ()
     best_closures: set[frozenset] = set()
+    branch_size = 0
+    branch_gens: tuple[bytes, ...] = ()
 
     def record(size: int, gen_bytes, element_set):
-        nonlocal best_size, best_gens
+        nonlocal best_size, best_gens, branch_size, branch_gens
+        if size > branch_size:
+            branch_size, branch_gens = size, tuple(gen_bytes)
         if size > best_size:
             best_size = size
             best_gens = tuple(Transformation(tuple(g)) for g in gen_bytes)
@@ -136,13 +183,25 @@ def max_aperiodic(
         s = closure(gens)
         record(size, [bytes(g.images) for g in gens], s.element_arrays())
 
+    new_lines = []
+
+    def append_line(line: str):
+        new_lines.append(line)
+        if checkpoint_path:
+            with open(checkpoint_path, "a", encoding="utf-8") as fh:
+                fh.write(line + "\n")
+
     done_prefixes = set()
     if checkpoint_path:
-        try:
-            with open(checkpoint_path, encoding="utf-8") as fh:
-                done_prefixes = {line.strip() for line in fh if line.strip()}
-        except FileNotFoundError:
-            pass
+        header = (f"aperiodic-search n={n} seeded={int(seed_with_family)} "
+                  f"candidates={len(candidates)}")
+        stored = _read_checkpoint(checkpoint_path, header, n)
+        if stored is None:
+            append_line(header)
+        else:
+            for prefix, s in stored:
+                record(len(s), [bytes(g.images) for g in s.generators], s.element_arrays())
+                done_prefixes.add(prefix)
 
     def extend(base: set, gen_bytes: list, gen_tables: list, last: int) -> bool:
         """DFS over candidate indices greater than ``last``; False on budget."""
@@ -169,25 +228,22 @@ def max_aperiodic(
         return True
 
     exhaustive = True
-    new_lines = []
     for idx, cand in enumerate(candidates):
         if not _orbit_minimal(cand, n):
             continue
-        prefix = "[" + ",".join(str(p) for p in cand) + "]"
+        prefix = _text(cand)
         if prefix in done_prefixes:
             continue
         base: set = set()
         base.update(extend_closure(base, [], cand))  # powers of a cycle-free map stay cycle-free
         gen_bytes = [cand]
+        branch_size = 0
         record(len(base), gen_bytes, base)
         completed = extend(base, gen_bytes, [tables[idx]], idx)
         if not completed:
             exhaustive = False
             break
-        new_lines.append(prefix)
-        if checkpoint_path:
-            with open(checkpoint_path, "a", encoding="utf-8") as fh:
-                fh.write(prefix + "\n")
+        append_line(f"{prefix} {branch_size} " + " ".join(map(_text, branch_gens)))
 
     return SearchResult(
         n=n,

@@ -4,14 +4,21 @@ The closure engine works on raw image arrays packed as ``bytes`` so that
 right-multiplication is a single ``bytes.translate`` call; a 10^6-element
 closure takes seconds.  That caps the state count at 255, far above the desk
 scale everything here runs at.
+
+Two kernels serve the callers that only need a yes/no on aperiodicity.
+``extend_closure`` adds one generator to a closed set level by level with
+set algebra and stops at the first level holding an element with a cycle;
+the search, transition-completeness and the DFA sampler build on it.
+``is_aperiodic`` tests a whole closure with the lane-packed power test of
+``transforms.any_cycle_images``, 256 // n elements per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import product as iproduct, repeat
 
-from .transforms import Transformation, has_cycle_images
+from .transforms import Transformation, any_cycle_images, has_cycle_images
 
 DEFAULT_ELEMENT_BUDGET = 50_000_000  # total stored images, i.e. |S| * n
 
@@ -27,15 +34,17 @@ class Semigroup:
     """A closed set of transformations with its generating set.
 
     ``elements`` are in deterministic BFS insertion order (generators sorted
-    lexicographically first); ``truncated`` marks a closure cut short by the
-    element budget, in which case the set is *not* closed.
+    lexicographically first); ``element_set`` holds the same image arrays
+    for membership tests and is kept, not copied.  ``truncated`` marks a
+    closure cut short by the element budget, in which case the set is *not*
+    closed.
     """
 
-    def __init__(self, n, generators, element_bytes, truncated=False):
+    def __init__(self, n, generators, element_bytes, element_set, truncated=False):
         self.n = n
         self.generators = tuple(generators)
         self._element_bytes = tuple(element_bytes)
-        self._element_set = frozenset(element_bytes)
+        self._element_set = element_set
         self.truncated = truncated
 
     @property
@@ -45,9 +54,6 @@ class Semigroup:
     def element_arrays(self) -> tuple[bytes, ...]:
         """Raw image arrays, BFS order; cheap, no wrapping."""
         return self._element_bytes
-
-    def sorted_elements(self) -> tuple[Transformation, ...]:
-        return tuple(Transformation(tuple(b)) for b in sorted(self._element_bytes))
 
     def __len__(self) -> int:
         return len(self._element_bytes)
@@ -113,7 +119,7 @@ def closure(generators, element_budget: int = DEFAULT_ELEMENT_BUDGET) -> Semigro
         frontier = next_frontier
 
     gen_ts = tuple(Transformation(tuple(b)) for b in gen_bytes)
-    return Semigroup(n, gen_ts, order, truncated)
+    return Semigroup(n, gen_ts, order, seen, truncated)
 
 
 def is_aperiodic(s: Semigroup) -> bool:
@@ -121,42 +127,36 @@ def is_aperiodic(s: Semigroup) -> bool:
 
     Element-wise test: a finite transformation semigroup is aperiodic exactly
     when every element is cycle-free (equivalently t^k = t^(k+1) for some
-    k <= n).
+    k <= n), checked by the lane-packed power test.
     """
     if s.truncated:
         raise ValueError("aperiodicity of a truncated closure is undecided")
-    return not any(has_cycle_images(e) for e in s.element_arrays())
+    return not any_cycle_images(s.element_arrays(), s.n)
 
 
-def extend_closure(base: set[bytes], gen_tables: list[bytes], t: bytes,
-                   require_cycle_free: bool = True):
+def extend_closure(base: set[bytes], gen_tables: list[bytes], t: bytes):
     """Close ``base`` (already closed under the gens) with one more generator.
 
-    Returns the list of new elements, or None as soon as a new element has a
-    cycle (when ``require_cycle_free``).  The caller owns committing or
-    discarding: ``base`` itself is never mutated here.
+    Returns the set of new elements, or None as soon as one of them has a
+    cycle.  Every new element is a word u t v with u in base or empty, so
+    the first level is base * t plus t itself, and each further level is
+    the previous one times every generator; a level is checked for cycles
+    before it is expanded.  The caller owns committing or discarding:
+    ``base`` itself is never mutated here.
     """
     t_table = _table(t)
     tables = gen_tables + [t_table]
-    new: list[bytes] = []
-    new_set: set[bytes] = set()
-    stack: list[bytes] = []
-
-    def consider(p: bytes):
-        if p not in base and p not in new_set:
-            new_set.add(p)
-            stack.append(p)
-
-    consider(t)
-    for e in base:
-        consider(e.translate(t_table))
-    while stack:
-        x = stack.pop()
-        if require_cycle_free and has_cycle_images(x):
+    level = set(map(bytes.translate, base, repeat(t_table)))
+    level.add(t)
+    level -= base
+    new: set[bytes] = set()
+    while level:
+        if any(map(has_cycle_images, level)):
             return None
-        new.append(x)
-        for tb in tables:
-            consider(x.translate(tb))
+        new |= level
+        level = {x.translate(tb) for x in level for tb in tables}
+        level -= base
+        level -= new
     return new
 
 

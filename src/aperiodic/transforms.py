@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
 from typing import Iterable
 
 
@@ -129,6 +131,44 @@ def has_cycle_images(images) -> bool:
         for r in path:
             color[r] = 2
     return False
+
+
+_IDENTITY = bytes(range(256))
+
+
+@lru_cache(maxsize=None)
+def _lane_shifts(n: int) -> tuple[bytes, ...]:
+    """Translation tables adding j*n to a state, one per byte lane j."""
+    return tuple(_IDENTITY[j * n:] + _IDENTITY[:j * n] for j in range(256 // n))
+
+
+def any_cycle_images(arrays, n: int) -> bool:
+    """True iff some image array in ``arrays`` (``bytes`` of length n) has a cycle.
+
+    Exact power test on up to 256 // n arrays per step.  Array j of a batch
+    is shifted into its own lane of states [j*n, (j+1)*n) of one 256-byte
+    translation table t, and the unused tail is the identity, which adds
+    only fixed points.  Squaring t (n-1).bit_length() times gives p = t^m
+    with m >= n - 1 in every lane at once.  A cycle-free map has
+    t^m = t^(m+1) from m = n - 1 on and a map with a cycle never does, so
+    the batch is cycle-free iff p*t == p.
+    """
+    if not 1 <= n <= 256:
+        raise ValueError("the packed cycle test needs 1 <= n <= 256")
+    shifts = _lane_shifts(n)
+    lanes = len(shifts)
+    squarings = (n - 1).bit_length()
+    arrays = iter(arrays)
+    while True:
+        packed = b"".join(map(bytes.translate, islice(arrays, lanes), shifts))
+        if not packed:
+            return False
+        t = packed + _IDENTITY[len(packed):]
+        p = t
+        for _ in range(squarings):
+            p = p.translate(p)
+        if p.translate(t) != p:
+            return True
 
 
 def has_cycle(t: Transformation) -> bool:

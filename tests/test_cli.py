@@ -53,8 +53,10 @@ def test_table_csv_header(capsys):
 
 
 def test_table_rejects_unknown_class(capsys):
-    with pytest.raises(SystemExit):
-        main(["table", "--classes", "nope"])
+    code, out, err = run(capsys, "table", "--classes", "nope")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown class 'nope'")
 
 
 def test_family_size_and_verify(capsys):
@@ -184,6 +186,37 @@ def test_reversal_single_file(tmp_path, capsys):
     assert row["complexity"] <= 7
 
 
+def test_reversal_rejects_bad_input(tmp_path, capsys, monkeypatch):
+    cyclic = tmp_path / "cyclic.dfa"
+    cyclic.write_text("3 1\n0\n1\na: 1 0 2\n")  # a swaps 0 and 1
+    for argv in (("--dfa", str(cyclic), "--random"), ("--dfa", str(cyclic))):
+        code, out, err = run(capsys, "reversal", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+    assert "not aperiodic" in err
+    monkeypatch.setenv("APERIODIC_BUDGET", "3")  # room for one element of 3 states
+    code, out, err = run(capsys, "reversal", "--dfa", str(cyclic))
+    assert code == 2 and "truncated" in err
+    monkeypatch.setenv("APERIODIC_BUDGET", "many")
+    code, out, err = run(capsys, "reversal", "--dfa", str(cyclic))
+    assert code == 2 and "APERIODIC_BUDGET" in err
+
+
+def test_search_checkpoint_resume_unseeded(tmp_path, capsys):
+    ckpt = str(tmp_path / "n3.ckpt")
+    for _ in range(2):
+        code, out, _ = run(capsys, "search", "3", "--no-seed", "--checkpoint", ckpt,
+                           "--format", "json")
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["value"] == "10" and row["exhaustive"] is True
+    assert row["products"] == 0  # every branch came from the checkpoint
+    code, out, err = run(capsys, "search", "3", "--checkpoint", ckpt)  # seeded run
+    assert code == 2
+    assert err.startswith("error: checkpoint")
+
+
 def test_product_families(capsys):
     code, out, _ = run(capsys, "product", "--m", "4", "--fl", "1", "--format", "json")
     assert code == 0
@@ -205,5 +238,7 @@ def test_product_files(tmp_path, capsys):
 
 
 def test_product_needs_arguments(capsys):
-    with pytest.raises(SystemExit):
-        main(["product"])
+    code, out, err = run(capsys, "product")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: product needs")

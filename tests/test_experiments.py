@@ -1,5 +1,7 @@
 """Reversal and product experiment drivers (small runs; acceptance runs full scale)."""
 
+import hashlib
+
 import pytest
 
 from aperiodic.automata import is_minimal, transition_semigroup
@@ -42,6 +44,16 @@ def test_random_aperiodic_dfa():
         assert is_aperiodic(transition_semigroup(d))
     # same seed, same stream, same DFA
     assert random_aperiodic_dfa(4, SplitMix64(5)) == random_aperiodic_dfa(4, SplitMix64(5))
+
+
+def test_random_aperiodic_dfa_pinned():
+    digest = hashlib.sha256()
+    for seed in range(1, 21):
+        for n in range(4, 9):
+            digest.update(random_aperiodic_dfa(n, SplitMix64(seed)).to_text().encode())
+    # pinned from the sampler that closed every draw in full before testing it
+    assert digest.hexdigest() == (
+        "a34d23d90fb0efd6f06f4fbaf477a8b58fbbd9a2765b7d3cc8f664f6d4b64698")
 
 
 def test_reversal_experiment_small():

@@ -61,6 +61,35 @@ def test_checkpoint_resume(tmp_path):
     assert second.checkpoint_lines == ()
 
 
+def test_checkpoint_resume_unseeded(tmp_path):
+    path = str(tmp_path / "search.ckpt")
+    cut = max_aperiodic(3, seed_with_family=False, max_products=45_000, checkpoint_path=path)
+    assert not cut.exhaustive
+    assert 1 < len(cut.checkpoint_lines)  # the header and at least one branch
+    rest = max_aperiodic(3, seed_with_family=False, checkpoint_path=path)
+    again = max_aperiodic(3, seed_with_family=False, checkpoint_path=path)
+    for result in (rest, again):
+        assert result.exhaustive
+        assert result.size == APERIODIC_KNOWN[3]
+        assert len(result.verify()) == result.size
+    assert again.products_used == 0 and again.checkpoint_lines == ()
+
+
+def test_checkpoint_rejects_foreign_or_false_lines(tmp_path):
+    path = tmp_path / "search.ckpt"
+    max_aperiodic(2, seed_with_family=False, checkpoint_path=str(path))
+    for n, seeded in ((3, False), (2, True)):
+        with pytest.raises(ValueError, match="not for this run"):
+            max_aperiodic(n, seed_with_family=seeded, checkpoint_path=str(path))
+    header, branch, *_ = path.read_text().splitlines()
+    prefix, size, *witness = branch.split()
+    for bad in (f"{prefix} {int(size) + 1} {' '.join(witness)}", f"{prefix} {size}",
+                f"{prefix} {size} [0,5]", prefix):
+        path.write_text(f"{header}\n{bad}\n")
+        with pytest.raises(ValueError, match="line 2"):
+            max_aperiodic(2, seed_with_family=False, checkpoint_path=str(path))
+
+
 def test_verify_maximal_known():
     for n in (1, 2, 3):
         report = verify_maximal_known(n)

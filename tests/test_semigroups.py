@@ -1,5 +1,7 @@
 """Closure engine, aperiodicity, forbidden unitary patterns, k-partial counts."""
 
+import hashlib
+import random
 from itertools import combinations, product as iproduct
 
 import pytest
@@ -8,14 +10,16 @@ from hypothesis import strategies as st
 
 from aperiodic.semigroups import (
     Semigroup,
+    _table,
     closure,
     count_k_partial,
+    extend_closure,
     is_aperiodic,
     is_transition_complete,
     strongly_connected_bipath_check,
     unitary_generator_check,
 )
-from aperiodic.transforms import Transformation, identity, unitary
+from aperiodic.transforms import Transformation, has_cycle_images, identity, unitary
 
 
 def t(*images):
@@ -84,6 +88,47 @@ def test_closure_deterministic_order():
     a = closure(EXAMPLE_GENS).element_arrays()
     b = closure(list(reversed(EXAMPLE_GENS))).element_arrays()
     assert a == b  # generators are sorted before the BFS
+
+
+def test_closure_bfs_order_pinned():
+    from aperiodic.families import build_family, parse_structure
+
+    s = closure(build_family("scti", parse_structure("((3,3),2)")).delta)
+    assert len(s) == 126123
+    # sha256 of the elements in BFS order, pinned from the per-element loop engine
+    assert hashlib.sha256(b"".join(s.element_arrays())).hexdigest() == (
+        "6d2d64c1c2206ca92e0ff21cfc2ebab138ac88cbed46694cfc1d449735cc2983")
+
+
+def _transformation(images: bytes) -> Transformation:
+    return Transformation(tuple(images))
+
+
+def test_extend_closure_matches_full_closures():
+    rng = random.Random(3)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        gens = []
+        for _ in range(rng.randint(0, 3)):  # cycle-free generators, so many closures stay aperiodic
+            g = bytes(rng.randrange(n) for _ in range(n))
+            if not has_cycle_images(g):
+                gens.append(g)
+        t = bytes(rng.randrange(n) for _ in range(n))
+        base = set(closure(map(_transformation, gens)).element_arrays()) if gens else set()
+        before = set(base)
+        new = extend_closure(base, [_table(g) for g in gens], t)
+        assert base == before
+        full = closure(map(_transformation, gens + [t]))
+        expected = set(full.element_arrays()) - base
+        if any(map(has_cycle_images, expected)):
+            assert new is None
+        else:
+            assert new == expected
+        if not gens or is_aperiodic(closure(map(_transformation, gens))):
+            assert (new is None) == (not is_aperiodic(full))
+            outcomes.add(new is None)
+    assert outcomes == {True, False}
 
 
 def test_is_aperiodic():

@@ -1,5 +1,7 @@
 """Transformation algebra: construction, predicates, and counting oracles."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,9 +10,11 @@ from aperiodic.transforms import (
     KPartialTransformation,
     Transformation,
     all_transformations,
+    any_cycle_images,
     compose,
     constant,
     has_cycle,
+    has_cycle_images,
     identity,
     is_monotonic,
     is_nondecreasing,
@@ -104,6 +108,58 @@ def test_cycle_free_count(n):
         1 for images in all_transformations(n) if not has_cycle(Transformation(images))
     )
     assert count == (n + 1) ** (n - 1)
+
+
+def _random_map(rng, n):
+    return bytes(rng.randrange(n) for _ in range(n))
+
+
+def _random_cycle_free(rng, n):
+    """Every state maps to itself or to a state earlier in a random order."""
+    order = rng.sample(range(n), n)
+    images = [0] * n
+    for i, q in enumerate(order):
+        images[q] = order[rng.randrange(i + 1)]
+    return bytes(images)
+
+
+def _with_two_cycle(rng, n):
+    """A cycle-free map with two states swapped: the shortest cycle there is."""
+    images = bytearray(_random_cycle_free(rng, n))
+    p, q = rng.sample(range(n), 2)
+    images[p], images[q] = q, p
+    return bytes(images)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 85, 86, 128, 129, 255])
+def test_packed_cycle_test_matches_has_cycle_images(n):
+    rng = random.Random(n)
+    maps = [_random_map(rng, n) for _ in range(30)]
+    maps += [_random_cycle_free(rng, n) for _ in range(30)]
+    if n >= 2:
+        maps += [_with_two_cycle(rng, n) for _ in range(30)]
+    for images in maps:
+        assert any_cycle_images([images], n) == has_cycle_images(images)
+
+    # batches of every length around the lane count, one cyclic map in each position
+    lanes = 256 // n
+    free = [_random_cycle_free(rng, n) for _ in range(2 * lanes + 3)]
+    assert not any_cycle_images([], n)
+    for length in sorted({1, lanes - 1, lanes, lanes + 1, 2 * lanes + 3} - {0}):
+        assert not any_cycle_images(free[:length], n)
+        assert not any_cycle_images(iter(free[:length]), n)
+        if n == 1:
+            continue
+        for pos in range(length):
+            batch = free[:length]
+            batch[pos] = _with_two_cycle(rng, n)
+            assert any_cycle_images(batch, n)
+
+
+def test_packed_cycle_test_rejects_bad_n():
+    for n in (0, 257):
+        with pytest.raises(ValueError):
+            any_cycle_images([], n)
 
 
 def _distinct_semiconstant_maps(n):
