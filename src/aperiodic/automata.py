@@ -1,7 +1,10 @@
 """DFAs and NFAs: minimization, reversal via subset construction, product.
 
-Subset constructions encode state sets as bitmasks (hard limit n <= 20);
-everything here runs at desk scale.
+Subset constructions encode state sets as bitmasks and move them with
+table lookups: per letter, one 256-entry table per byte of the mask maps
+that byte's states to the union of their images, so a step on n <= 8
+states is one lookup and the tables stay small up to the n <= 20 limit.
+Everything here runs at desk scale.
 """
 
 from __future__ import annotations
@@ -141,38 +144,59 @@ def reverse(d: Dfa) -> Nfa:
                initials=frozenset(d.finals), finals=frozenset({d.initial}))
 
 
+def _union_step(masks: list[int]):
+    """The map taking a state mask to the union of ``masks[q]`` over its states q.
+
+    Built from one table per byte of the mask; entry b of a byte's table is
+    the union for the states whose bits are set in b.  For n <= 8 the map is
+    the single table's ``__getitem__``.
+    """
+    tables = []
+    for lo in range(0, len(masks), 8):
+        chunk = masks[lo:lo + 8]
+        table = [0] * (1 << len(chunk))
+        for b in range(1, len(table)):
+            low = b & -b
+            table[b] = table[b ^ low] | chunk[low.bit_length() - 1]
+        tables.append(table)
+    if len(tables) == 1:
+        return tables[0].__getitem__
+
+    def step(mask: int) -> int:
+        out = 0
+        for table in tables:
+            out |= table[mask & 255]
+            mask >>= 8
+        return out
+    return step
+
+
+def reverse_steps(d: Dfa) -> list:
+    """Per letter, the reversal-subset move on state masks: P -> {q : t(q) in P}."""
+    steps = []
+    for t in d.delta:
+        pre = [0] * d.n
+        for q, p in enumerate(t.images):
+            pre[p] |= 1 << q
+        steps.append(_union_step(pre))
+    return steps
+
+
 def _reachable_masks(d: Dfa, start_mask: int):
     """Reachable subset masks of the reversal subset automaton, BFS order."""
-    n = d.n
-    # per letter, the reverse image of each state as a mask
-    pre = []
-    for t in d.delta:
-        masks = [0] * n
-        for q in range(n):
-            masks[t.images[q]] |= 1 << q
-        pre.append(masks)
+    steps = reverse_steps(d)
     order = [start_mask]
     index = {start_mask: 0}
     trans: list[list[int]] = []
-    frontier = [start_mask]
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            row = []
-            for masks in pre:
-                out = 0
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    out |= masks[low.bit_length() - 1]
-                    rest ^= low
-                if out not in index:
-                    index[out] = len(order)
-                    order.append(out)
-                    nxt.append(out)
-                row.append(index[out])
-            trans.append(row)
-        frontier = nxt
+    for mask in order:  # grows while iterated: breadth first
+        row = []
+        for step in steps:
+            out = step(mask)
+            if out not in index:
+                index[out] = len(order)
+                order.append(out)
+            row.append(index[out])
+        trans.append(row)
     return order, trans
 
 
@@ -189,10 +213,7 @@ def reverse_determinize(d: Dfa) -> tuple[Dfa, tuple[frozenset[int], ...]]:
     for q in d.finals:
         start |= 1 << q
     order, trans = _reachable_masks(d, start)
-    delta = tuple(
-        Transformation(tuple(trans[s][a] for s in range(len(order))))
-        for a in range(len(d.alphabet))
-    )
+    delta = tuple(map(Transformation, zip(*trans)))
     finals = frozenset(i for i, mask in enumerate(order) if mask >> d.initial & 1)
     subsets = tuple(
         frozenset(q for q in range(d.n) if mask >> q & 1) for mask in order
@@ -200,16 +221,6 @@ def reverse_determinize(d: Dfa) -> tuple[Dfa, tuple[frozenset[int], ...]]:
     dfa = Dfa(n=len(order), alphabet=d.alphabet, delta=delta,
               initial=0, finals=finals)
     return dfa, subsets
-
-
-def reverse_step(d: Dfa, mask: int, letter_index: int) -> int:
-    """One reversal-subset move on a raw mask (for property checks)."""
-    t = d.delta[letter_index]
-    out = 0
-    for q in range(d.n):
-        if mask >> t.images[q] & 1:
-            out |= 1 << q
-    return out
 
 
 @dataclass(frozen=True)
@@ -239,24 +250,25 @@ def _reachable_states(d: Dfa) -> list[int]:
     return order
 
 
-def _refine(d: Dfa, states) -> dict[int, int]:
-    """Moore partition refinement over the given states; returns class ids."""
-    block = {q: (1 if q in d.finals else 0) for q in states}
+def _refine(d: Dfa, states) -> list[int]:
+    """Moore partition refinement over the given states; returns class ids.
+
+    ``states`` must be closed under the letters.  The result is indexed by
+    state (entries outside ``states`` are meaningless); ids number the
+    classes in order of first appearance in ``states``.  Each round refines
+    the last, so the partition is stable once the class count stops growing.
+    """
+    images = [t.images for t in d.delta]
+    block = [1 if q in d.finals else 0 for q in range(d.n)]
+    count = len({block[q] for q in states})
     while True:
-        signature = {
-            q: (block[q], tuple(block[t.images[q]] for t in d.delta))
-            for q in states
-        }
-        ids = {}
-        new_block = {}
+        signatures = list(zip(block, *[[block[p] for p in img] for img in images]))
+        ids: dict[tuple, int] = {}
         for q in states:
-            sig = signature[q]
-            if sig not in ids:
-                ids[sig] = len(ids)
-            new_block[q] = ids[sig]
-        if new_block == block:
+            block[q] = ids.setdefault(signatures[q], len(ids))
+        if len(ids) == count:
             return block
-        block = new_block
+        count = len(ids)
 
 
 def is_minimal(d: Dfa) -> MinimalityReport:
@@ -318,7 +330,9 @@ def product_dfa(k_dfa: Dfa, l_dfa: Dfa) -> Dfa:
 
     Built as an epsilon-NFA (epsilon edges from K's finals to L's initial)
     followed by the subset construction and minimization; the result's state
-    count is the quotient complexity of the product.
+    count is the quotient complexity of the product.  K is deterministic, so
+    every reachable subset holds exactly one K state: a subset is a pair
+    (K state, subset of L's states), stored as ``l_mask * m + k``.
     """
     if k_dfa.alphabet != l_dfa.alphabet:
         raise ValueError("product requires the same alphabet on both DFAs")
@@ -326,49 +340,31 @@ def product_dfa(k_dfa: Dfa, l_dfa: Dfa) -> Dfa:
     total = m + nl
     if total > SUBSET_LIMIT:
         raise ValueError(f"subset construction is limited to {SUBSET_LIMIT} states")
-    k_final_mask = 0
-    for q in k_dfa.finals:
-        k_final_mask |= 1 << q
-    l_initial_bit = 1 << (m + l_dfa.initial)
-    l_final_mask = 0
-    for q in l_dfa.finals:
-        l_final_mask |= 1 << (m + q)
-
-    def eps_close(mask: int) -> int:
-        return mask | l_initial_bit if mask & k_final_mask else mask
-
-    start = eps_close(1 << k_dfa.initial)
+    # entering a final K state starts a run of L
+    eps = [1 << l_dfa.initial if k in k_dfa.finals else 0 for k in range(m)]
+    l_steps = {tl.images: _union_step([1 << p for p in tl.images])
+               for tl in set(l_dfa.delta)}
+    moves = [(tk.images, l_steps[tl.images]) for tk, tl in zip(k_dfa.delta, l_dfa.delta)]
+    start = eps[k_dfa.initial] * m + k_dfa.initial
     order = [start]
     index = {start: 0}
     rows: list[list[int]] = []
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            row = []
-            for a in range(len(k_dfa.alphabet)):
-                tk = k_dfa.delta[a].images
-                tl = l_dfa.delta[a].images
-                out = 0
-                for q in range(m):
-                    if mask >> q & 1:
-                        out |= 1 << tk[q]
-                for q in range(nl):
-                    if mask >> (m + q) & 1:
-                        out |= 1 << (m + tl[q])
-                out = eps_close(out)
-                if out not in index:
-                    index[out] = len(order)
-                    order.append(out)
-                    nxt.append(out)
-                row.append(index[out])
-            rows.append(row)
-        frontier = nxt
-    delta = tuple(
-        Transformation(tuple(rows[s][a] for s in range(len(order))))
-        for a in range(len(k_dfa.alphabet))
-    )
-    finals = frozenset(i for i, mask in enumerate(order) if mask & l_final_mask)
+    for state in order:  # grows while iterated: breadth first
+        l_mask, k = divmod(state, m)
+        row = []
+        for tk, step in moves:
+            k2 = tk[k]
+            out = (step(l_mask) | eps[k2]) * m + k2
+            if out not in index:
+                index[out] = len(order)
+                order.append(out)
+            row.append(index[out])
+        rows.append(row)
+    delta = tuple(map(Transformation, zip(*rows)))
+    l_final_mask = 0
+    for q in l_dfa.finals:
+        l_final_mask |= 1 << q
+    finals = frozenset(i for i, state in enumerate(order) if state // m & l_final_mask)
     raw = Dfa(n=len(order), alphabet=k_dfa.alphabet, delta=delta,
               initial=0, finals=finals)
     return minimize(raw)

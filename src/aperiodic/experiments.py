@@ -20,7 +20,7 @@ from .automata import (
     minimize,
     product_dfa,
     reverse_determinize,
-    reverse_step,
+    reverse_steps,
 )
 from .families import build_family, enumerate_distributions, enumerate_structures
 from .rng import SplitMix64
@@ -90,13 +90,15 @@ def check_complement_identity(d: Dfa, rng: SplitMix64, words: int = 100) -> bool
     f_mask = 0
     for q in d.finals:
         f_mask |= 1 << q
+    steps = reverse_steps(d)
     for _ in range(words):
         length = rng.below(2 * d.n + 1)
         word = [rng.below(len(d.alphabet)) for _ in range(length)]
         p, cp = f_mask, full ^ f_mask
         for a in word:
-            p = reverse_step(d, p, a)
-            cp = reverse_step(d, cp, a)
+            step = steps[a]
+            p = step(p)
+            cp = step(cp)
             if cp != full ^ p:
                 return False
     return True

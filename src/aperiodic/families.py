@@ -145,12 +145,20 @@ def node(left: StructureTree, right: StructureTree) -> StructureTree:
     return StructureTree(left=left, right=right)
 
 
+# Deepest bracket nesting parse_structure accepts.  The tree methods and the
+# size recursion descend one to three Python frames per level, so this keeps
+# every consumer of a parsed tree far below the interpreter's recursion
+# limit; the witness of every maximal tree up to n = 500 is 10 levels deep.
+MAX_STRUCTURE_DEPTH = 200
+
+
 def parse_structure(text: str) -> StructureTree:
     """Parse the binary expression form, e.g. "((3,2),(4,1))" or "5".
 
     Grammar: expr := INT | "(" expr "," expr ")" with INT >= 1; whitespace is
-    ignored; anything left over after one expression is an error.  Errors
-    report the character position.
+    ignored; anything left over after one expression is an error, and so is
+    nesting deeper than MAX_STRUCTURE_DEPTH.  Errors report the character
+    position.
     """
     pos = 0
 
@@ -162,28 +170,30 @@ def parse_structure(text: str) -> StructureTree:
         while pos < len(text) and text[pos].isspace():
             pos += 1
 
-    def expr() -> StructureTree:
+    def expr(depth: int) -> StructureTree:
         nonlocal pos
         skip_ws()
         if pos >= len(text):
             error("unexpected end of input")
         ch = text[pos]
         if ch == "(":
+            if depth == MAX_STRUCTURE_DEPTH:
+                error(f"brackets nested deeper than {MAX_STRUCTURE_DEPTH} levels")
             pos += 1
-            left_tree = expr()
+            left_tree = expr(depth + 1)
             skip_ws()
             if pos >= len(text) or text[pos] != ",":
                 error("expected ','")
             pos += 1
-            right_tree = expr()
+            right_tree = expr(depth + 1)
             skip_ws()
             if pos >= len(text) or text[pos] != ")":
                 error("expected ')'")
             pos += 1
             return node(left_tree, right_tree)
-        if ch.isdigit():
+        if ch.isdecimal():
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and text[pos].isdecimal():
                 pos += 1
             value = int(text[start:pos])
             if value < 1:
@@ -191,7 +201,7 @@ def parse_structure(text: str) -> StructureTree:
             return leaf(value)
         error(f"unexpected character {ch!r}")
 
-    tree = expr()
+    tree = expr(0)
     skip_ws()
     if pos != len(text):
         error("trailing input")

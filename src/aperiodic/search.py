@@ -17,31 +17,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import permutations, product as iproduct
+from itertools import permutations
 
 from .families import build_family
 from .optimizer import max_sctree
-from .semigroups import (
+from .semigroups import (  # aperiodic_transformations is re-exported
     Semigroup,
     _table,
+    aperiodic_transformations,
     closure,
     extend_closure,
     is_aperiodic,
     is_transition_complete,
 )
-from .transforms import Transformation, has_cycle_images
+from .transforms import Transformation
 
 DEFAULT_MAX_PRODUCTS = 1_000_000_000
 DEFAULT_MAX_SECONDS = 3600.0
-
-
-def aperiodic_transformations(n: int) -> list[bytes]:
-    """All cycle-free image arrays on n states, lexicographically sorted."""
-    return [
-        bytes(images)
-        for images in iproduct(range(n), repeat=n)
-        if not has_cycle_images(images)
-    ]
 
 
 def _text(images: bytes) -> str:
@@ -159,6 +151,9 @@ def max_aperiodic(
     start = time.monotonic()
     budget = _Budget(max_products, max_seconds)
     candidates = aperiodic_transformations(n)
+    # every element of a new level must be a candidate: exact, since the
+    # candidates are all the cycle-free arrays of length n
+    cycle_free = frozenset(candidates).issuperset
     tables = [_table(c) for c in candidates]
 
     best_size = 0
@@ -211,7 +206,7 @@ def max_aperiodic(
                 continue
             if not budget.spend(len(base)):
                 return False
-            new = extend_closure(base, gen_tables, cand)
+            new = extend_closure(base, gen_tables, cand, cycle_free)
             if new is None:
                 continue
             budget.spend(len(new) * (len(gen_tables) + 1))
@@ -235,7 +230,8 @@ def max_aperiodic(
         if prefix in done_prefixes:
             continue
         base: set = set()
-        base.update(extend_closure(base, [], cand))  # powers of a cycle-free map stay cycle-free
+        # powers of a cycle-free map stay cycle-free
+        base.update(extend_closure(base, [], cand, cycle_free))
         gen_bytes = [cand]
         branch_size = 0
         record(len(base), gen_bytes, base)

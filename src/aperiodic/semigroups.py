@@ -8,7 +8,10 @@ scale everything here runs at.
 Two kernels serve the callers that only need a yes/no on aperiodicity.
 ``extend_closure`` adds one generator to a closed set level by level with
 set algebra and stops at the first level holding an element with a cycle;
-the search, transition-completeness and the DFA sampler build on it.
+the search, transition-completeness and the DFA sampler build on it.  The
+search and transition-completeness hold every cycle-free array of length n
+(``aperiodic_transformations``) and test a level by set containment instead
+of one cycle test per element.
 ``is_aperiodic`` tests a whole closure with the lane-packed power test of
 ``transforms.any_cycle_images``, 256 // n elements per step.
 """
@@ -134,15 +137,32 @@ def is_aperiodic(s: Semigroup) -> bool:
     return not any_cycle_images(s.element_arrays(), s.n)
 
 
-def extend_closure(base: set[bytes], gen_tables: list[bytes], t: bytes):
+def aperiodic_transformations(n: int) -> list[bytes]:
+    """All cycle-free image arrays on n states, lexicographically sorted."""
+    return [
+        bytes(images)
+        for images in iproduct(range(n), repeat=n)
+        if not has_cycle_images(images)
+    ]
+
+
+def _cycle_free_level(level) -> bool:
+    return not any(map(has_cycle_images, level))
+
+
+def extend_closure(base: set[bytes], gen_tables: list[bytes], t: bytes,
+                   cycle_free=_cycle_free_level):
     """Close ``base`` (already closed under the gens) with one more generator.
 
     Returns the set of new elements, or None as soon as one of them has a
     cycle.  Every new element is a word u t v with u in base or empty, so
     the first level is base * t plus t itself, and each further level is
     the previous one times every generator; a level is checked for cycles
-    before it is expanded.  The caller owns committing or discarding:
-    ``base`` itself is never mutated here.
+    before it is expanded.  ``cycle_free(level)`` is that check; the
+    default runs the cycle test per element, and a caller holding the set
+    of all cycle-free arrays of length n passes its ``issuperset``, which
+    gives the same answer with one hash lookup per element.  The caller
+    owns committing or discarding: ``base`` itself is never mutated here.
     """
     t_table = _table(t)
     tables = gen_tables + [t_table]
@@ -151,7 +171,7 @@ def extend_closure(base: set[bytes], gen_tables: list[bytes], t: bytes):
     level -= base
     new: set[bytes] = set()
     while level:
-        if any(map(has_cycle_images, level)):
+        if not cycle_free(level):
             return None
         new |= level
         level = {x.translate(tb) for x in level for tb in tables}
@@ -163,22 +183,21 @@ def extend_closure(base: set[bytes], gen_tables: list[bytes], t: bytes):
 def is_transition_complete(s: Semigroup) -> bool:
     """True iff adding any transformation outside S breaks aperiodicity.
 
-    Exhausts all n^n candidates; meant for desk scale (n <= 5 or so).
+    Tries every cycle-free transformation outside S (a cyclic one breaks
+    aperiodicity by itself); meant for desk scale (n <= 5 or so).
     """
     if s.truncated:
         raise ValueError("completeness of a truncated closure is undecided")
     if not is_aperiodic(s):
         raise ValueError("transition-completeness is defined for aperiodic semigroups")
-    n = s.n
+    candidates = aperiodic_transformations(s.n)
+    cycle_free = frozenset(candidates).issuperset
     base = set(s.element_arrays())
     gen_tables = [_table(bytes(g.images)) for g in s.generators]
-    for images in iproduct(range(n), repeat=n):
-        cand = bytes(images)
+    for cand in candidates:
         if cand in base:
             continue
-        if has_cycle_images(cand):
-            continue
-        if extend_closure(base, gen_tables, cand) is not None:
+        if extend_closure(base, gen_tables, cand, cycle_free) is not None:
             return False
     return True
 

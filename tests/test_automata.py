@@ -1,8 +1,14 @@
 """DFA plumbing: formats, minimization, reversal, product."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import automata_oracle as oracle
 from aperiodic.automata import (
+    SUBSET_LIMIT,
     Dfa,
     extend_alphabet,
     is_minimal,
@@ -11,8 +17,10 @@ from aperiodic.automata import (
     product_dfa,
     reverse,
     reverse_determinize,
+    reverse_steps,
     transition_semigroup,
 )
+from aperiodic.experiments import check_complement_identity
 from aperiodic.families import build_family, enumerate_distributions, \
     enumerate_structures, parse_distribution, parse_structure
 from aperiodic.rng import SplitMix64
@@ -211,3 +219,78 @@ def test_extend_alphabet():
     assert bigger.delta[-1] == identity(2)
     with pytest.raises(ValueError):
         extend_alphabet(d, ("z",))
+
+
+def _random_dfa(rng: random.Random, n: int, letters: int) -> Dfa:
+    """Letters are arbitrary maps (cycles included); finals empty, full or random."""
+    delta = tuple(t(*(rng.randrange(n) for _ in range(n))) for _ in range(letters))
+    kind = rng.randrange(3)
+    finals = (frozenset() if kind == 0 else frozenset(range(n)) if kind == 1
+              else frozenset(q for q in range(n) if rng.random() < 0.5))
+    return Dfa(n=n, alphabet=tuple("abcd"[:letters]), delta=delta,
+               initial=rng.randrange(n), finals=finals)
+
+
+def test_subset_kernels_match_oracle():
+    rng = random.Random(7)
+    for _ in range(300):
+        d = _random_dfa(rng, rng.randint(1, 8), rng.randint(1, 4))
+        subset_dfa, subsets = reverse_determinize(d)
+        assert (subset_dfa, subsets) == oracle.reverse_determinize(d)
+        for candidate in (d, subset_dfa):
+            assert minimize(candidate) == oracle.minimize(candidate)
+            assert is_minimal(candidate) == oracle.is_minimal(candidate)
+        seed = rng.randrange(1 << 30)
+        ours, theirs = SplitMix64(seed), SplitMix64(seed)
+        assert (check_complement_identity(d, ours, 20)
+                == oracle.check_complement_identity(d, theirs, 20))
+        assert ours.next64() == theirs.next64()  # the same draws were consumed
+
+
+def test_product_matches_oracle():
+    rng = random.Random(8)
+    for _ in range(300):
+        letters = rng.randint(1, 4)
+        k_dfa = _random_dfa(rng, rng.randint(1, 6), letters)
+        l_dfa = _random_dfa(rng, rng.randint(1, 4), letters)
+        ours, theirs = product_dfa(k_dfa, l_dfa), oracle.product_dfa(k_dfa, l_dfa)
+        assert (ours.n, ours.delta, ours.finals) == (theirs.n, theirs.delta, theirs.finals)
+
+
+def test_multibyte_subset_steps_match_oracle():
+    # more than 8 states: the step combines one table per byte of the mask
+    rng = random.Random(9)
+    for n in (9, 15, 16, 17, SUBSET_LIMIT):
+        d = _random_dfa(rng, n, 3)
+        steps = reverse_steps(d)
+        for mask in [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(200)]:
+            for a, step in enumerate(steps):
+                assert step(mask) == oracle.reverse_step(d, mask, a)
+        l_dfa = _random_dfa(rng, n - 8, 3)
+        k_dfa = _random_dfa(rng, 4, 3)
+        ours, theirs = product_dfa(k_dfa, l_dfa), oracle.product_dfa(k_dfa, l_dfa)
+        assert (ours.n, ours.delta, ours.finals) == (theirs.n, theirs.delta, theirs.finals)
+
+
+def test_product_subset_limit():
+    rng = random.Random(10)
+    product_dfa(_random_dfa(rng, 17, 2), _random_dfa(rng, 3, 2))  # m + nl = 20 runs
+    with pytest.raises(ValueError, match=f"limited to {SUBSET_LIMIT} states"):
+        product_dfa(_random_dfa(rng, 17, 2), _random_dfa(rng, 4, 2))
+
+
+@given(st.text())
+def test_parse_dfa_raises_only_value_error(text):
+    try:
+        parse_dfa(text)
+    except ValueError:
+        pass
+
+
+@given(st.lists(st.sampled_from(["3 1\n", "0\n", "2\n", "a: 0 1 2\n", "b:", " 7", "-1",
+                                 ":", "\n", "x", "0 0", "99999999999"]), max_size=12))
+def test_parse_dfa_raises_only_value_error_near_format(pieces):
+    try:
+        parse_dfa("".join(pieces))
+    except ValueError:
+        pass

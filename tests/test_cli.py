@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, round-trips, env overrides."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -88,6 +89,14 @@ def test_family_parse_error(capsys):
     code, _, err = run(capsys, "family", "scti", "((2,2)")
     assert code == 2
     assert "position" in err
+
+
+def test_family_deep_structure_exits_2(capsys):
+    deep = "(" * 1199 + "1,1" + ",1)" * 1199
+    code, out, err = run(capsys, "family", "scti", deep)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "nested deeper" in err
 
 
 def test_family_emit_and_closure_roundtrip(tmp_path, capsys):
@@ -235,6 +244,23 @@ def test_product_files(tmp_path, capsys):
     assert code == 0
     row = json.loads(out)["rows"][0]
     assert row["within_bound"] is True
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("reversal", "--random", "--seed", "1", "--count", "40", "--n", "7"),
+     "4bcc7c20bf59f77baf2c539fda57e9cb108700bc6113c8383e04c76b21dd8d2f"),
+    (("reversal", "--random", "--seed", "1", "--count", "40", "--n", "8"),
+     "6fa9a42d259f2f350196779dc08755e84005cccec40eb7539f8eb0c13a97de3d"),
+    (("product", "--m", "5", "--fl", "0"),
+     "0c276390738bd91cc090166a6bb20447708eb52681add20e4231589b0a76f59d"),
+    (("product", "--m", "5", "--fl", "1"),
+     "d4536abb6cd50ca7f9fc1fb7e7d9730a8827e222d8dbc8e8cd89154f9d179748"),
+])
+def test_experiment_outputs_pinned(capsys, argv, digest):
+    # sha256 of the JSON output of the per-bit subset constructions
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_product_needs_arguments(capsys):

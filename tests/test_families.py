@@ -1,9 +1,13 @@
 """Distributions, structure trees, family constructors, semiconstant sum."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aperiodic.automata import is_minimal, transition_semigroup
+from aperiodic.combinatorics import sctree_size
 from aperiodic.families import (
+    MAX_STRUCTURE_DEPTH,
     Distribution,
     build_family,
     catalan_binomial_transform,
@@ -65,6 +69,48 @@ def test_parse_structure_errors():
             parse_structure(text)
         assert "position" in str(err.value)
         assert fragment.split()[0] in str(err.value)
+
+
+def _chain(depth: int) -> str:
+    """A valid structure tree whose brackets nest ``depth`` deep."""
+    return "(" * depth + "1,1)" + ",1)" * (depth - 1)
+
+
+def test_parse_structure_depth_limit():
+    deepest = parse_structure(_chain(MAX_STRUCTURE_DEPTH))
+    assert str(deepest) == _chain(MAX_STRUCTURE_DEPTH)
+    assert deepest.n == MAX_STRUCTURE_DEPTH + 1 and sctree_size(deepest) > 0
+    with pytest.raises(ValueError, match="nested deeper"):
+        parse_structure(_chain(MAX_STRUCTURE_DEPTH + 1))
+    with pytest.raises(ValueError, match="nested deeper"):
+        parse_structure("(" * 100_000)
+
+
+@given(st.text())
+def test_parse_structure_raises_only_value_error(text):
+    try:
+        parse_structure(text)
+    except ValueError:
+        pass
+
+
+@given(st.integers(0, 1500),
+       st.lists(st.sampled_from(["(", ")", ",", "1", "23", "0", " ", "x", "\u00b2"]),
+                max_size=40),
+       st.integers(0, 1500))
+def test_parse_structure_raises_only_value_error_on_brackets(opened, middle, closed):
+    try:
+        parse_structure("(" * opened + "".join(middle) + ",1)" * closed)
+    except ValueError:
+        pass
+
+
+@given(st.text(alphabet="(),0123456789 x-"))
+def test_parse_distribution_raises_only_value_error(text):
+    try:
+        parse_distribution(text)
+    except ValueError:
+        pass
 
 
 def test_structure_roundtrip():

@@ -30,6 +30,10 @@ def test_exhaustive_small(n):
 def test_search_without_seed_still_finds_max():
     result = max_aperiodic(3, seed_with_family=False)
     assert result.exhaustive and result.size == 10
+    # witness and product count pinned from the search with a per-element cycle test
+    assert [str(g) for g in result.generators] == [
+        "[0,0,0]", "[0,0,1]", "[0,0,2]", "[0,1,0]", "[0,1,1]", "[0,1,2]", "[0,2,0]", "[1,1,1]"]
+    assert result.products_used == 52836
 
 
 def test_n4_budgeted_run_certifies_47():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from aperiodic.semigroups import (
     Semigroup,
     _table,
+    aperiodic_transformations,
     closure,
     count_k_partial,
     extend_closure,
@@ -107,6 +108,8 @@ def _transformation(images: bytes) -> Transformation:
 def test_extend_closure_matches_full_closures():
     rng = random.Random(3)
     outcomes = set()
+    # the search's level test: containment in the set of all cycle-free arrays
+    cycle_free = {n: frozenset(aperiodic_transformations(n)).issuperset for n in range(1, 6)}
     for _ in range(400):
         n = rng.randint(1, 5)
         gens = []
@@ -119,6 +122,7 @@ def test_extend_closure_matches_full_closures():
         before = set(base)
         new = extend_closure(base, [_table(g) for g in gens], t)
         assert base == before
+        assert extend_closure(base, [_table(g) for g in gens], t, cycle_free[n]) == new
         full = closure(map(_transformation, gens + [t]))
         expected = set(full.element_arrays()) - base
         if any(map(has_cycle_images, expected)):
@@ -264,9 +268,17 @@ def test_monotonic_closure_bound(n):
 
 def test_transition_complete():
     from aperiodic.automata import transition_semigroup
-    from aperiodic.families import build_family, parse_structure
+    from aperiodic.families import build_family
+    from aperiodic.optimizer import max_sctree, max_unitary
 
-    s = transition_semigroup(build_family("scti", parse_structure("(2,2)")))
-    assert is_transition_complete(s)
+    for n in range(1, 6):
+        tree = max_sctree(n)[1]
+        assert is_transition_complete(transition_semigroup(build_family("scti", tree)))
+    for n in range(2, 6):
+        dist = max_unitary(n)[1]
+        # the ui maxima (2,2) and (3,2) lack a semiconstant that the scti
+        # maxima of the same n add without a cycle
+        expected = n <= 3
+        assert is_transition_complete(transition_semigroup(build_family("ui", dist))) == expected
     # a single unitary on 2 states closes to {[1,1]}; adding [0,0] stays aperiodic
     assert not is_transition_complete(closure([unitary(2, 0, 1)]))
