@@ -127,7 +127,7 @@ def _table_value(cls: str, n: int, ui_table, scti_table):
             return "?", None, "search"
         result = max_aperiodic(n, max_products=TABLE_SEARCH_PRODUCTS,
                                max_seconds=TABLE_SEARCH_SECONDS)
-        return str(result.size), None, "search"
+        return str(result.size), None, "search" if result.exhaustive else "search-bounded"
     raise ValueError(f"unknown class {cls!r}")
 
 
@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=cmd_optimize)
 
-    p = sub.add_parser("search", help="bounded exhaustive search for the aperiodic maximum")
+    p = sub.add_parser("search", help="budgeted depth-first search for the aperiodic maximum")
     p.add_argument("n", type=int)
     p.add_argument("--max-products", type=int, default=1_000_000_000)
     p.add_argument("--max-seconds", type=float, default=3600.0)

@@ -85,7 +85,11 @@ class ReversalRecord:
 
 
 def check_complement_identity(d: Dfa, rng: SplitMix64, words: int = 100) -> bool:
-    """Sampled check that reversal subsets satisfy step(~P, w) = ~step(P, w)."""
+    """Sampled check that reversal subsets satisfy step(~P, w) = ~step(P, w).
+
+    A reversal step is a preimage map, and preimages commute with complement
+    on every complete DFA: a self-check of the subset steps that always holds.
+    """
     full = (1 << d.n) - 1
     f_mask = 0
     for q in d.finals:

@@ -1,12 +1,14 @@
-"""Bounded exhaustive search for the largest aperiodic semigroup on n states.
+"""Budgeted depth-first search for the largest aperiodic semigroup on n states.
 
-Branch and bound over generator sets drawn from the cycle-free
+The search runs over generator sets drawn from the cycle-free
 transformations (every element of an aperiodic semigroup is cycle-free, so
 nothing is lost).  Children extend the generator set by candidates later in
 a fixed lexicographic order; the first generator ranges only over
 lexicographically minimal representatives of relabeling (conjugation)
 orbits, which is sound because for any generator set some conjugate has an
-orbit representative as its minimum.
+orbit representative as its minimum.  No branch is pruned by a bound on its
+best closure; the search ends when the tree is covered or the product or
+time budget runs out.
 
 Exhaustive runs are realistic for n <= 3 in milliseconds and for n = 4 in
 hours; beyond the budget the best semigroup found so far is reported with
@@ -21,7 +23,7 @@ from itertools import permutations
 
 from .families import build_family
 from .optimizer import max_sctree
-from .semigroups import (  # aperiodic_transformations is re-exported
+from .semigroups import (
     Semigroup,
     _table,
     aperiodic_transformations,
@@ -120,14 +122,6 @@ class _Budget:
         return not self.exhausted
 
 
-def _seed_witness(n: int):
-    """Best scti family of n as the starting lower bound."""
-    _, tree = max_sctree(n)
-    dfa = build_family("scti", tree)
-    s = closure(dfa.delta)
-    return len(s), s.generators
-
-
 def max_aperiodic(
     n: int,
     max_products: int = DEFAULT_MAX_PRODUCTS,
@@ -173,10 +167,9 @@ def max_aperiodic(
         if size == best_size and len(best_closures) < 64:
             best_closures.add(frozenset(element_set))
 
-    if seed_with_family:
-        size, gens = _seed_witness(n)
-        s = closure(gens)
-        record(size, [bytes(g.images) for g in gens], s.element_arrays())
+    if seed_with_family:  # the best scti family of n is the starting lower bound
+        s = closure(build_family("scti", max_sctree(n)[1]).delta)
+        record(len(s), [bytes(g.images) for g in s.generators], s.element_arrays())
 
     new_lines = []
 

@@ -5,13 +5,15 @@ right-multiplication is a single ``bytes.translate`` call; a 10^6-element
 closure takes seconds.  That caps the state count at 255, far above the desk
 scale everything here runs at.
 
-Two kernels serve the callers that only need a yes/no on aperiodicity.
-``extend_closure`` adds one generator to a closed set level by level with
-set algebra and stops at the first level holding an element with a cycle;
-the search, transition-completeness and the DFA sampler build on it.  The
-search and transition-completeness hold every cycle-free array of length n
-(``aperiodic_transformations``) and test a level by set containment instead
-of one cycle test per element.
+One level-wise core builds every closure: a level is the previous one
+times every generator, first occurrences kept, so elements come in BFS
+order.  ``closure`` runs it from the sorted generators under an element
+budget.  ``extend_closure`` adds one generator to a closed set, builds the
+first level with set algebra and stops at the first level holding an
+element with a cycle; the search, transition-completeness and the DFA
+sampler build on it.  The search and transition-completeness hold every
+cycle-free array of length n (``aperiodic_transformations``) and test a
+level by set containment instead of one cycle test per element.
 ``is_aperiodic`` tests a whole closure with the lane-packed power test of
 ``transforms.any_cycle_images``, 256 // n elements per step.
 """
@@ -19,7 +21,7 @@ of one cycle test per element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct, repeat
+from itertools import product, repeat, starmap
 
 from .transforms import Transformation, any_cycle_images, has_cycle_images
 
@@ -78,6 +80,31 @@ class Semigroup:
         return f"Semigroup(n={self.n}, |S|={len(self)}{flag})"
 
 
+def _grow(order: list, tables: list, seen: set, room=None, cycle_free=None):
+    """Extend ``order`` (the first level) level by level, in BFS order.
+
+    Each level is the previous one times every table, keeping first
+    occurrences not yet in ``seen``, which takes them in.  Returns True when
+    a level would take ``seen`` past ``room`` elements: that level is cut to
+    fit and its tail dropped from ``seen``.  Returns None at the first later
+    level that fails ``cycle_free``, else False.  Calls no public name, so a
+    tracer that rebinds ``closure`` and ``extend_closure`` counts each once.
+    """
+    level, add = order, seen.add
+    while level:
+        level = [p for p in starmap(bytes.translate, product(level, tables))
+                 if not (p in seen or add(p))]
+        if room is not None and len(seen) > room:
+            keep = len(level) - (len(seen) - room)
+            seen.difference_update(level[keep:])
+            order += level[:keep]
+            return True
+        if cycle_free is not None and not cycle_free(level):
+            return None
+        order += level
+    return False
+
+
 def closure(generators, element_budget: int = DEFAULT_ELEMENT_BUDGET) -> Semigroup:
     """Close a generator set under composition (BFS, right-multiplication).
 
@@ -99,28 +126,8 @@ def closure(generators, element_budget: int = DEFAULT_ELEMENT_BUDGET) -> Semigro
     if element_budget < n * len(gen_bytes):
         raise ValueError("element budget too small to hold the generators")
 
-    max_elements = element_budget // n
-    tables = [_table(g) for g in gen_bytes]
-    seen = set(gen_bytes)
-    order = list(gen_bytes)
-    frontier = list(gen_bytes)
-    truncated = False
-    while frontier and not truncated:
-        next_frontier = []
-        for e in frontier:
-            for tb in tables:
-                p = e.translate(tb)
-                if p not in seen:
-                    if len(seen) >= max_elements:
-                        truncated = True
-                        break
-                    seen.add(p)
-                    next_frontier.append(p)
-            if truncated:
-                break
-        order.extend(next_frontier)
-        frontier = next_frontier
-
+    order, seen = list(gen_bytes), set(gen_bytes)
+    truncated = _grow(order, [_table(g) for g in gen_bytes], seen, element_budget // n)
     gen_ts = tuple(Transformation(tuple(b)) for b in gen_bytes)
     return Semigroup(n, gen_ts, order, seen, truncated)
 
@@ -141,7 +148,7 @@ def aperiodic_transformations(n: int) -> list[bytes]:
     """All cycle-free image arrays on n states, lexicographically sorted."""
     return [
         bytes(images)
-        for images in iproduct(range(n), repeat=n)
+        for images in product(range(n), repeat=n)
         if not has_cycle_images(images)
     ]
 
@@ -154,30 +161,25 @@ def extend_closure(base: set[bytes], gen_tables: list[bytes], t: bytes,
                    cycle_free=_cycle_free_level):
     """Close ``base`` (already closed under the gens) with one more generator.
 
-    Returns the set of new elements, or None as soon as one of them has a
-    cycle.  Every new element is a word u t v with u in base or empty, so
-    the first level is base * t plus t itself, and each further level is
-    the previous one times every generator; a level is checked for cycles
-    before it is expanded.  ``cycle_free(level)`` is that check; the
-    default runs the cycle test per element, and a caller holding the set
-    of all cycle-free arrays of length n passes its ``issuperset``, which
-    gives the same answer with one hash lookup per element.  The caller
-    owns committing or discarding: ``base`` itself is never mutated here.
+    Returns the set of new elements, or None at the first level of them that
+    fails ``cycle_free``.  Every new element is a word u t v with u in base
+    or empty, so the first level is base * t plus t itself; ``_grow`` grows
+    the rest.  The default test runs the cycle test per element; a caller
+    holding the set of all cycle-free arrays of length n passes its
+    ``issuperset``, one hash lookup per element.  ``base`` is not mutated.
     """
     t_table = _table(t)
-    tables = gen_tables + [t_table]
     level = set(map(bytes.translate, base, repeat(t_table)))
     level.add(t)
     level -= base
-    new: set[bytes] = set()
-    while level:
-        if not cycle_free(level):
-            return None
-        new |= level
-        level = {x.translate(tb) for x in level for tb in tables}
-        level -= base
-        level -= new
-    return new
+    if not level:
+        return level
+    if not cycle_free(level):
+        return None
+    new = list(level)
+    if _grow(new, gen_tables + [t_table], base | level, cycle_free=cycle_free) is None:
+        return None
+    return set(new)
 
 
 def is_transition_complete(s: Semigroup) -> bool:

@@ -31,8 +31,13 @@ from aperiodic.families import (
     parse_structure,
 )
 from aperiodic.optimizer import SctiDpTable, UiDpTable, exhaustive_max, max_sctree, max_unitary
-from aperiodic.search import aperiodic_transformations, max_aperiodic
-from aperiodic.semigroups import closure, is_aperiodic, is_transition_complete
+from aperiodic.search import max_aperiodic
+from aperiodic.semigroups import (
+    aperiodic_transformations,
+    closure,
+    is_aperiodic,
+    is_transition_complete,
+)
 from aperiodic.transforms import Transformation, all_transformations, has_cycle, semiconstant, identity
 
 from reference_tables import (

@@ -33,6 +33,9 @@ def test_table_json_values_roundtrip(capsys):
     rows = {(r["class"], r["n"]): r for r in payload["rows"]}
     assert rows[("sc-tree-1", 4)]["value"] == "47"
     assert rows[("aperiodic", 5)]["value"] == "?"
+    # only an exhaustive run is labelled a plain search
+    assert rows[("aperiodic", 3)]["provenance"] == "search"
+    assert rows[("aperiodic", 4)]["provenance"] == "search-bounded"
     assert rows[("part-mon", 1)]["value"] == "-"
     # every witness string re-parses and re-evaluates to the row value
     for (cls, n), row in rows.items():

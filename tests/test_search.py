@@ -3,12 +3,13 @@
 import pytest
 
 from aperiodic.optimizer import max_sctree
-from aperiodic.search import (
+from aperiodic.search import max_aperiodic, verify_maximal_known
+from aperiodic.semigroups import (
     aperiodic_transformations,
-    max_aperiodic,
-    verify_maximal_known,
+    closure,
+    is_aperiodic,
+    is_transition_complete,
 )
-from aperiodic.semigroups import closure, is_aperiodic, is_transition_complete
 
 from reference_tables import APERIODIC_KNOWN
 

@@ -70,6 +70,20 @@ def test_closure_budget_truncation():
     with pytest.raises(ValueError):
         count_k_partial(s, 0)
 
+    from aperiodic.families import build_family, parse_structure
+
+    gens = build_family("scti", parse_structure("(3,2)")).delta
+    full = closure(gens).element_arrays()
+    n = len(full[0])
+    # every budget from the generators alone to past the full size: the
+    # result is the BFS prefix that fits, and membership follows it
+    for budget in range(n * len(gens), n * (len(full) + 2)):
+        s = closure(gens, element_budget=budget)
+        room = budget // n
+        assert s.element_arrays() == full[:room]
+        assert s.truncated == (room < len(full))
+        assert [x in s for x in full] == [i < room for i in range(len(full))]
+
 
 def test_closure_idempotent():
     s = closure(EXAMPLE_GENS)
@@ -132,6 +146,11 @@ def test_extend_closure_matches_full_closures():
         if not gens or is_aperiodic(closure(map(_transformation, gens))):
             assert (new is None) == (not is_aperiodic(full))
             outcomes.add(new is None)
+        for known in (min(base), max(base)) if base else ():
+            # a generator already in the closure adds nothing
+            assert extend_closure(base, [_table(g) for g in gens], known) == set()
+            assert extend_closure(base, [_table(g) for g in gens], known, cycle_free[n]) == set()
+        assert base == before
     assert outcomes == {True, False}
 
 
