@@ -2,7 +2,7 @@
 
 Exact semigroup closure and aperiodicity certification, the extremal
 complete-unitary and semiconstant-tree DFA families with their size
-formulas, the maximization dynamic programs, a bounded exhaustive search,
+formulas, the maximization dynamic programs, a budgeted depth-first search,
 and the reversal/product complexity experiments.
 """
 

@@ -1,5 +1,8 @@
 """DFAs and NFAs: minimization, reversal via subset construction, product.
 
+One BFS explorer, ``_explore``, numbers the reachable states of every
+automaton built here (reachability, the reversal subset construction and
+the product); minimization numbers classes along its order.
 Subset constructions encode state sets as bitmasks and move them with
 table lookups: per letter, one 256-entry table per byte of the mask maps
 that byte's states to the union of their images, so a step on n <= 8
@@ -182,22 +185,24 @@ def reverse_steps(d: Dfa) -> list:
     return steps
 
 
-def _reachable_masks(d: Dfa, start_mask: int):
-    """Reachable subset masks of the reversal subset automaton, BFS order."""
-    steps = reverse_steps(d)
-    order = [start_mask]
-    index = {start_mask: 0}
-    trans: list[list[int]] = []
-    for mask in order:  # grows while iterated: breadth first
+def _explore(start, successors):
+    """States reachable from ``start`` in BFS order, with their transition rows.
+
+    ``successors(state)`` lists a state's successors in letter order; row i
+    holds the positions in ``order`` of the successors of ``order[i]``.
+    """
+    order = [start]
+    index = {start: 0}
+    rows: list[list[int]] = []
+    for state in order:  # grows while iterated: breadth first
         row = []
-        for step in steps:
-            out = step(mask)
+        for out in successors(state):
             if out not in index:
                 index[out] = len(order)
                 order.append(out)
             row.append(index[out])
-        trans.append(row)
-    return order, trans
+        rows.append(row)
+    return order, rows
 
 
 def reverse_determinize(d: Dfa) -> tuple[Dfa, tuple[frozenset[int], ...]]:
@@ -209,11 +214,10 @@ def reverse_determinize(d: Dfa) -> tuple[Dfa, tuple[frozenset[int], ...]]:
     """
     if d.n > SUBSET_LIMIT:
         raise ValueError(f"subset construction is limited to {SUBSET_LIMIT} states")
-    start = 0
-    for q in d.finals:
-        start |= 1 << q
-    order, trans = _reachable_masks(d, start)
-    delta = tuple(map(Transformation, zip(*trans)))
+    start = sum(1 << q for q in d.finals)
+    steps = reverse_steps(d)
+    order, rows = _explore(start, lambda mask: [step(mask) for step in steps])
+    delta = tuple(map(Transformation, zip(*rows)))
     finals = frozenset(i for i, mask in enumerate(order) if mask >> d.initial & 1)
     subsets = tuple(
         frozenset(q for q in range(d.n) if mask >> q & 1) for mask in order
@@ -234,20 +238,8 @@ class MinimalityReport:
 
 
 def _reachable_states(d: Dfa) -> list[int]:
-    seen = {d.initial}
-    order = [d.initial]
-    frontier = [d.initial]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for t in d.delta:
-                p = t.images[q]
-                if p not in seen:
-                    seen.add(p)
-                    order.append(p)
-                    nxt.append(p)
-        frontier = nxt
-    return order
+    images = [t.images for t in d.delta]
+    return _explore(d.initial, list(zip(*images)).__getitem__)[0]
 
 
 def _refine(d: Dfa, states) -> list[int]:
@@ -290,34 +282,19 @@ def is_minimal(d: Dfa) -> MinimalityReport:
 def minimize(d: Dfa) -> Dfa:
     """The minimal DFA of the same language; its size is the quotient complexity.
 
-    Restrict to reachable states, refine, then renumber classes by BFS from
-    the initial class so the output is canonical.
+    Restrict to reachable states and refine.  Class ids number the classes by
+    first appearance along the BFS-ordered reachable states; only a class's
+    first state can reach a new class (equivalent states have equivalent
+    successors), so that is the BFS order of the quotient: a canonical output.
     """
     reachable = _reachable_states(d)
     block = _refine(d, reachable)
-
-    class_rep: dict[int, int] = {}
+    reps: list[int] = []
     for q in reachable:
-        class_rep.setdefault(block[q], q)
-    # BFS over classes from the initial one
-    numbering = {block[d.initial]: 0}
-    order = [block[d.initial]]
-    frontier = [block[d.initial]]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            rep = class_rep[c]
-            for t in d.delta:
-                c2 = block[t.images[rep]]
-                if c2 not in numbering:
-                    numbering[c2] = len(numbering)
-                    order.append(c2)
-                    nxt.append(c2)
-        frontier = nxt
-
-    reps = [class_rep[c] for c in order]
+        if block[q] == len(reps):
+            reps.append(q)
     delta = tuple(
-        Transformation(tuple(numbering[block[t.images[rep]]] for rep in reps))
+        Transformation(tuple(block[t.images[rep]] for rep in reps))
         for t in d.delta
     )
     finals = frozenset(i for i, rep in enumerate(reps) if rep in d.finals)
@@ -332,39 +309,31 @@ def product_dfa(k_dfa: Dfa, l_dfa: Dfa) -> Dfa:
     followed by the subset construction and minimization; the result's state
     count is the quotient complexity of the product.  K is deterministic, so
     every reachable subset holds exactly one K state: a subset is a pair
-    (K state, subset of L's states), stored as ``l_mask * m + k``.
+    (K state k, subset of L's states), stored as ``l_mask << b | k`` with b
+    the bit length of m - 1.
     """
     if k_dfa.alphabet != l_dfa.alphabet:
         raise ValueError("product requires the same alphabet on both DFAs")
-    m, nl = k_dfa.n, l_dfa.n
-    total = m + nl
-    if total > SUBSET_LIMIT:
+    m = k_dfa.n
+    if m + l_dfa.n > SUBSET_LIMIT:
         raise ValueError(f"subset construction is limited to {SUBSET_LIMIT} states")
-    # entering a final K state starts a run of L
-    eps = [1 << l_dfa.initial if k in k_dfa.finals else 0 for k in range(m)]
-    l_steps = {tl.images: _union_step([1 << p for p in tl.images])
+    b = (m - 1).bit_length()
+    # the pair entered with K state k: a final k starts a run of L
+    enter = [(1 << (l_dfa.initial + b) if k in k_dfa.finals else 0) | k for k in range(m)]
+    l_steps = {tl.images: _union_step([1 << (p + b) for p in tl.images])
                for tl in set(l_dfa.delta)}
-    moves = [(tk.images, l_steps[tl.images]) for tk, tl in zip(k_dfa.delta, l_dfa.delta)]
-    start = eps[k_dfa.initial] * m + k_dfa.initial
-    order = [start]
-    index = {start: 0}
-    rows: list[list[int]] = []
-    for state in order:  # grows while iterated: breadth first
-        l_mask, k = divmod(state, m)
-        row = []
-        for tk, step in moves:
-            k2 = tk[k]
-            out = (step(l_mask) | eps[k2]) * m + k2
-            if out not in index:
-                index[out] = len(order)
-                order.append(out)
-            row.append(index[out])
-        rows.append(row)
+    moves = [([enter[k2] for k2 in tk.images], l_steps[tl.images])
+             for tk, tl in zip(k_dfa.delta, l_dfa.delta)]
+    low = (1 << b) - 1
+
+    def successors(state: int) -> list[int]:
+        l_mask, k = state >> b, state & low
+        return [step(l_mask) | k_enter[k] for k_enter, step in moves]
+
+    order, rows = _explore(enter[k_dfa.initial], successors)
     delta = tuple(map(Transformation, zip(*rows)))
-    l_final_mask = 0
-    for q in l_dfa.finals:
-        l_final_mask |= 1 << q
-    finals = frozenset(i for i, state in enumerate(order) if state // m & l_final_mask)
+    l_final_mask = sum(1 << (q + b) for q in l_dfa.finals)
+    finals = frozenset(i for i, state in enumerate(order) if state & l_final_mask)
     raw = Dfa(n=len(order), alphabet=k_dfa.alphabet, delta=delta,
               initial=0, finals=finals)
     return minimize(raw)

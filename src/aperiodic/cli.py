@@ -93,7 +93,11 @@ def _emit(args, rows, columns, failures, extra=None):
 
 
 def _table_value(cls: str, n: int, ui_table, scti_table):
-    """(value, witness, provenance) for one table cell; '-' and '?' literal."""
+    """(value, witness, provenance) for one table cell; '-' and '?' literal.
+
+    A '?' cell lies beyond the cap of the computation for its class and was
+    not computed, so its provenance is 'none'.
+    """
     if cls == "monotonic":
         return str(comb.monotonic_size(n)), None, "formula"
     if cls == "part-mon":
@@ -120,11 +124,11 @@ def _table_value(cls: str, n: int, ui_table, scti_table):
         if n < 2:
             return "-", None, "dp"
         if n > SCTI_CAP:
-            return "?", None, "dp"
+            return "?", None, "none"
         return str(scti_table.value(n)), str(scti_table.witness(n)), "dp"
     if cls == "aperiodic":
         if n > SEARCH_CAP:
-            return "?", None, "search"
+            return "?", None, "none"
         result = max_aperiodic(n, max_products=TABLE_SEARCH_PRODUCTS,
                                max_seconds=TABLE_SEARCH_SECONDS)
         return str(result.size), None, "search" if result.exhaustive else "search-bounded"
@@ -278,7 +282,7 @@ def cmd_search(args) -> int:
         "exhaustive": result.exhaustive,
         "distinct_maxima": result.distinct_maxima,
         "products": result.products_used,
-        "provenance": "search",
+        "provenance": "search" if result.exhaustive else "search-bounded",
         "seconds": round(time.monotonic() - t0, 3),
     }
     return _emit(args, [row],

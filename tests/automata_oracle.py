@@ -1,13 +1,32 @@
 """Oracle for the table-driven subset kernels in ``aperiodic.automata``.
 
 The per-bit subset constructions (reversal and product), the per-bit
-reversal step and the dict-based Moore refinement those kernels replaced,
-unchanged; test_automata.py compares the library against them.
+reversal step, the frontier-list reachability and the dict-based Moore
+refinement with its class-level BFS that those kernels replaced,
+unchanged; test_automata.py compares the library against them.  The
+oracle imports no routine from ``aperiodic.automata``, only its types.
 """
 
-from aperiodic.automata import SUBSET_LIMIT, Dfa, MinimalityReport, _reachable_states
+from aperiodic.automata import SUBSET_LIMIT, Dfa, MinimalityReport
 from aperiodic.rng import SplitMix64
 from aperiodic.transforms import Transformation
+
+
+def _reachable_states(d: Dfa) -> list[int]:
+    seen = {d.initial}
+    order = [d.initial]
+    frontier = [d.initial]
+    while frontier:
+        nxt = []
+        for q in frontier:
+            for t in d.delta:
+                p = t.images[q]
+                if p not in seen:
+                    seen.add(p)
+                    order.append(p)
+                    nxt.append(p)
+        frontier = nxt
+    return order
 
 
 def _reachable_masks(d: Dfa, start_mask: int):

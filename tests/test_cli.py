@@ -33,6 +33,7 @@ def test_table_json_values_roundtrip(capsys):
     rows = {(r["class"], r["n"]): r for r in payload["rows"]}
     assert rows[("sc-tree-1", 4)]["value"] == "47"
     assert rows[("aperiodic", 5)]["value"] == "?"
+    assert rows[("aperiodic", 5)]["provenance"] == "none"  # nothing was computed
     # only an exhaustive run is labelled a plain search
     assert rows[("aperiodic", 3)]["provenance"] == "search"
     assert rows[("aperiodic", 4)]["provenance"] == "search-bounded"
@@ -178,6 +179,18 @@ def test_search_command(capsys):
     assert code == 0
     row = json.loads(out)["rows"][0]
     assert row["value"] == "3" and row["exhaustive"] is True
+
+
+def test_search_provenance_follows_coverage(capsys):
+    # the same rule as the table: plain "search" only for an exhaustive run
+    code, out, _ = run(capsys, "search", "3", "--format", "json")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["exhaustive"] is True and row["provenance"] == "search"
+    code, out, _ = run(capsys, "search", "4", "--max-products", "1000", "--format", "json")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["exhaustive"] is False and row["provenance"] == "search-bounded"
 
 
 def test_reversal_random(capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from aperiodic import search
 from aperiodic.optimizer import max_sctree
 from aperiodic.search import max_aperiodic, verify_maximal_known
 from aperiodic.semigroups import (
@@ -95,7 +96,17 @@ def test_checkpoint_rejects_foreign_or_false_lines(tmp_path):
             max_aperiodic(2, seed_with_family=False, checkpoint_path=str(path))
 
 
-def test_verify_maximal_known():
+def test_verify_maximal_known(monkeypatch):
+    calls = []
+
+    def counting_closure(*args, **kwargs):
+        calls.append(args)
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(search, "closure", counting_closure)
+    verify_maximal_known(3)
+    assert len(calls) == 1  # the witness is closed once; the search is unseeded
+    monkeypatch.undo()
     for n in (1, 2, 3):
         report = verify_maximal_known(n)
         assert report.consistent
