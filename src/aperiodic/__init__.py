@@ -7,7 +7,6 @@ and the reversal/product complexity experiments.
 """
 
 from .transforms import (
-    KPartialTransformation,
     Transformation,
     compose,
     constant,
@@ -27,18 +26,15 @@ from .semigroups import (
     count_k_partial,
     is_aperiodic,
     is_transition_complete,
-    strongly_connected_bipath_check,
     unitary_generator_check,
 )
 from .automata import (
     Dfa,
     MinimalityReport,
-    Nfa,
     is_minimal,
     minimize,
     parse_dfa,
     product_dfa,
-    reverse,
     reverse_determinize,
     transition_semigroup,
 )
@@ -46,7 +42,6 @@ from .families import (
     Distribution,
     StructureTree,
     build_family,
-    count_distributions,
     count_structures,
     enumerate_distributions,
     enumerate_structures,
@@ -63,14 +58,13 @@ from .combinatorics import (
     monotonic_size,
     nearly_monotonic_size,
     partially_monotonic_size,
-    reference_sizes,
     sctree_k_partial,
     sctree_size,
     semiconstant_sum_k_partial,
     unitary_even_lower_bound,
     unitary_family_size,
 )
-from .optimizer import exhaustive_max, max_sctree, max_unitary
+from .optimizer import max_sctree, max_unitary
 from .search import max_aperiodic, verify_maximal_known
 
 __all__ = [name for name in dir() if not name.startswith("_")]

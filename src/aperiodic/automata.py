@@ -1,4 +1,4 @@
-"""DFAs and NFAs: minimization, reversal via subset construction, product.
+"""DFAs: minimization, reversal via subset construction, product.
 
 One BFS explorer, ``_explore``, numbers the reachable states of every
 automaton built here (reachability, the reversal subset construction and
@@ -44,9 +44,6 @@ class Dfa:
             raise ValueError("initial state out of range")
         if not all(0 <= q < self.n for q in self.finals):
             raise ValueError("final state out of range")
-
-    def step(self, q: int, letter_index: int) -> int:
-        return self.delta[letter_index].images[q]
 
     def run(self, word) -> int:
         """Run a word (iterable of letter indices) from the initial state."""
@@ -111,40 +108,9 @@ def parse_dfa(text: str) -> Dfa:
                initial=initial, finals=finals)
 
 
-@dataclass(frozen=True)
-class Nfa:
-    """A nondeterministic automaton: a transition relation per letter."""
-
-    n: int
-    alphabet: tuple[str, ...]
-    relation: tuple[frozenset[tuple[int, int]], ...]
-    initials: frozenset[int]
-    finals: frozenset[int]
-
-    def __post_init__(self):
-        if len(self.alphabet) != len(self.relation):
-            raise ValueError("one relation per letter is required")
-        for pairs in self.relation:
-            for p, q in pairs:
-                if not (0 <= p < self.n and 0 <= q < self.n):
-                    raise ValueError(f"relation pair ({p},{q}) out of range")
-        if not all(0 <= q < self.n for q in self.initials | self.finals):
-            raise ValueError("initial/final state out of range")
-
-
 def transition_semigroup(d: Dfa, element_budget: int = DEFAULT_ELEMENT_BUDGET) -> Semigroup:
     """Close the per-letter transformations."""
     return closure(d.delta, element_budget=element_budget)
-
-
-def reverse(d: Dfa) -> Nfa:
-    """The reversed NFA: edge q -> p per original edge p -> q; F and {0} swap roles."""
-    relation = tuple(
-        frozenset((t.images[q], q) for q in range(d.n))
-        for t in d.delta
-    )
-    return Nfa(n=d.n, alphabet=d.alphabet, relation=relation,
-               initials=frozenset(d.finals), finals=frozenset({d.initial}))
 
 
 def _union_step(masks: list[int]):

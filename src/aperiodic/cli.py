@@ -19,7 +19,12 @@ import time
 
 from . import combinatorics as comb
 from .automata import is_minimal, parse_dfa, product_dfa, transition_semigroup
-from .experiments import family_products, reversal_experiment, reversal_record
+from .experiments import (
+    concatenation_bound,
+    family_products,
+    reversal_experiment,
+    reversal_record,
+)
 from .families import (
     build_family,
     parse_distribution,
@@ -305,7 +310,7 @@ def cmd_reversal(args) -> int:
             raise ValueError(f"{args.dfa} is not aperiodic; the reversal bounds assume it is")
         records = [reversal_record(d, SplitMix64(args.seed), args.words)]
     else:
-        ns = (args.n,) if args.n else (2, 3, 4, 5, 6)
+        ns = (2, 3, 4, 5, 6) if args.n is None else (args.n,)
         records = reversal_experiment(args.seed, args.count, ns, args.words)
     for i, rec in enumerate(records):
         rows.append({
@@ -348,7 +353,7 @@ def cmd_product(args) -> int:
         row = {"k": k_path, "l": l_path, "m": k_dfa.n, "complexity": result.n}
         if l_dfa.n == 2 and len(l_dfa.finals) == 1:
             final_state = next(iter(l_dfa.finals))
-            bound = 2 * k_dfa.n + 1 if final_state == 1 else 3 * k_dfa.n - 2
+            bound = concatenation_bound(k_dfa.n, final_state)
             row["bound"] = bound
             row["within_bound"] = result.n <= bound
             if not row["within_bound"]:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial
-from typing import NamedTuple
 
 from .families import Distribution, StructureTree
 
@@ -62,17 +61,6 @@ def r_trivial_size(n: int) -> int:
     if n < 1:
         raise ValueError("n must be at least 1")
     return factorial(n)
-
-
-class ReferenceSizes(NamedTuple):
-    finite: int
-    j_trivial: int
-    r_trivial: int
-
-
-def reference_sizes(n: int) -> ReferenceSizes:
-    """The three previously known reference rows: (n-1)!, floor(e(n-1)!), n!."""
-    return ReferenceSizes(finite_language_size(n), j_trivial_size(n), r_trivial_size(n))
 
 
 @lru_cache(maxsize=None)

@@ -24,10 +24,11 @@ from .automata import (
 )
 from .families import build_family, enumerate_distributions, enumerate_structures
 from .rng import SplitMix64
-from .semigroups import _table, extend_closure
-from .transforms import Transformation, has_cycle_images
+from .semigroups import extend_closure
+from .transforms import Transformation, has_cycle_images, translation_table
 
-_LETTERS = "abcdefghij"
+_LETTERS = "abc"
+SAMPLE_ATTEMPTS = 100_000
 
 
 def _closes_aperiodic(letters: list[bytes]) -> bool:
@@ -39,23 +40,22 @@ def _closes_aperiodic(letters: list[bytes]) -> bool:
         if new is None:
             return False
         base |= new
-        tables.append(_table(images))
+        tables.append(translation_table(images))
     return True
 
 
-def random_aperiodic_dfa(n: int, rng: SplitMix64, num_letters: int | None = None,
-                         max_attempts: int = 100_000) -> Dfa:
+def random_aperiodic_dfa(n: int, rng: SplitMix64) -> Dfa:
     """Rejection-sample a DFA whose transition semigroup is aperiodic.
 
-    Letters are drawn from the cycle-free transformations; a draw is accepted
-    only when the joint closure stays aperiodic, and rejected at the first
-    element with a cycle.  Finals are a non-empty proper subset so the
-    language is non-trivial.
+    A draw has 2 or 3 letters, each drawn from the cycle-free
+    transformations; it is accepted only when the joint closure stays
+    aperiodic, and rejected at the first element with a cycle.  Finals are a
+    non-empty proper subset so the language is non-trivial.
     """
     if n < 2:
         raise ValueError("sampling needs n >= 2")
-    for _ in range(max_attempts):
-        k = num_letters if num_letters else 2 + rng.below(2)
+    for _ in range(SAMPLE_ATTEMPTS):
+        k = 2 + rng.below(2)
         letters = []
         for _ in range(k):
             while True:
@@ -175,6 +175,11 @@ class ProductRecord:
     within_bound: bool
 
 
+def concatenation_bound(m: int, final_state: int) -> int:
+    """Complexity ceiling of K L for an m-state K and a 2-state L with one final state."""
+    return 2 * m + 1 if final_state == 1 else 3 * m - 2
+
+
 def product_record(k_dfa: Dfa, family: str, spec: str, variant,
                    final_state: int) -> ProductRecord:
     l_dfa = two_state_dfa(variant, final_state)
@@ -183,7 +188,7 @@ def product_record(k_dfa: Dfa, family: str, spec: str, variant,
     l_ext = extend_alphabet(l_dfa, merged)
     complexity = product_dfa(k_ext, l_ext).n
     m = k_dfa.n
-    bound = 2 * m + 1 if final_state == 1 else 3 * m - 2
+    bound = concatenation_bound(m, final_state)
     return ProductRecord(
         family=family,
         spec=spec,

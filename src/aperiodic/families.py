@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 from .automata import Dfa
 from .transforms import Transformation, identity, semiconstant, unitary
@@ -323,13 +322,6 @@ def semiconstant_sum(a: Dfa, b: Dfa) -> Dfa:
     )
 
 
-def count_distributions(n: int) -> int:
-    """2^(n-1) ordered compositions of n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return 2 ** (n - 1)
-
-
 def enumerate_distributions(n: int):
     """Yield all distributions of n in lexicographic part order."""
     if n < 1:
@@ -357,14 +349,6 @@ def count_structures(n: int) -> int:
     if n < 1:
         raise ValueError("n must be at least 1")
     return 1 + sum(count_structures(a) * count_structures(n - a) for a in range(1, n))
-
-
-def catalan_binomial_transform(n: int) -> int:
-    """Independent count of structures: sum over k of C(n-1,k) * Catalan(k)."""
-    return sum(
-        comb(n - 1, k) * comb(2 * k, k) // (k + 1)
-        for k in range(n)
-    )
 
 
 def enumerate_structures(n: int):

@@ -1,4 +1,4 @@
-"""The two O(n^3) maximization dynamic programs and their brute-force oracle.
+"""The two O(n^3) maximization dynamic programs.
 
 Both optimize exact integer sizes.  Floats only screen: a candidate is
 skipped when a proven upper bound on its natural log falls below the log of
@@ -16,15 +16,8 @@ from math import comb, exp, expm1, inf, log, log1p, sqrt
 from operator import add
 from typing import NamedTuple
 
-from .combinatorics import bipath_k_partial, unitary_family_size
-from .families import (
-    Distribution,
-    StructureTree,
-    enumerate_distributions,
-    leaf,
-    node,
-    parse_structure,
-)
+from .combinatorics import bipath_k_partial
+from .families import Distribution, StructureTree, leaf, node
 
 
 class DpStats(NamedTuple):
@@ -231,66 +224,3 @@ def max_sctree(n: int) -> tuple[int, StructureTree]:
         raise ValueError("n must be at least 1")
     table = SctiDpTable.compute(n)
     return table.value(n), table.witness()
-
-
-EXHAUSTIVE_LIMIT = 12
-
-
-def _exhaustive_unitary(n: int) -> tuple[int, Distribution]:
-    best = None
-    witness = None
-    for dist in enumerate_distributions(n):
-        value = unitary_family_size(dist)
-        if best is None or value > best:
-            best = value
-            witness = dist
-    return best, witness
-
-
-def _exhaustive_sctree(n: int) -> tuple[int, StructureTree]:
-    """Brute-force max over every structure tree of n.
-
-    Builds all shapes bottom-up as strings with their full k-vector (k up to
-    n - size), so each of the ~A007317(n) shapes is evaluated once.
-    """
-    shapes: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in range(n + 1)]
-    for s in range(1, n + 1):
-        k_count = n - s + 1
-        entries = [(str(s), tuple(bipath_k_partial(s, k) for k in range(k_count)))]
-        for a in range(1, s):  # a = left size
-            b = s - a
-            for ltext, lvec in shapes[a]:
-                for rtext, rvec in shapes[b]:
-                    vec = tuple(
-                        lvec[b + k] * rvec[k]
-                        + a * (k + 1) ** a * ((k + 1) ** b - k**b)
-                        for k in range(k_count)
-                    )
-                    entries.append((f"({ltext},{rtext})", vec))
-        shapes[s] = entries
-    best = None
-    witness = None
-    for text, vec in shapes[n]:
-        if best is None or vec[0] > best:
-            best = vec[0]
-            witness = text
-    return best, parse_structure(witness)
-
-
-def exhaustive_max(kind: str, n: int):
-    """Independent brute-force oracle for the DPs, n <= 12.
-
-    Enumerates the 2^(n-1) distributions or all structure trees and evaluates
-    the size formulas directly; the maximum (first witness in enumeration
-    order) must agree with the DP.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"exhaustive search is limited to n <= {EXHAUSTIVE_LIMIT}")
-    if kind == "ui":
-        return _exhaustive_unitary(n)
-    if kind == "scti":
-        return _exhaustive_sctree(n)
-    raise ValueError(f"unknown kind {kind!r}")
-

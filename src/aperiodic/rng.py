@@ -30,6 +30,3 @@ class SplitMix64:
             x = self.next64()
             if x <= limit:
                 return x % bound
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]

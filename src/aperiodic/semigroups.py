@@ -23,16 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product, repeat, starmap
 
-from .transforms import Transformation, any_cycle_images, has_cycle_images
+from .transforms import Transformation, any_cycle_images, has_cycle_images, translation_table
 
 DEFAULT_ELEMENT_BUDGET = 50_000_000  # total stored images, i.e. |S| * n
-
-_PAD = bytes(range(256))
-
-
-def _table(images: bytes) -> bytes:
-    """Extend an image array to a 256-byte translation table."""
-    return images + _PAD[len(images):]
 
 
 class Semigroup:
@@ -71,8 +64,6 @@ class Semigroup:
             return bytes(t.images) in self._element_set
         if isinstance(t, bytes):
             return t in self._element_set
-        if isinstance(t, tuple):
-            return bytes(t) in self._element_set
         return False
 
     def __repr__(self):
@@ -127,7 +118,7 @@ def closure(generators, element_budget: int = DEFAULT_ELEMENT_BUDGET) -> Semigro
         raise ValueError("element budget too small to hold the generators")
 
     order, seen = list(gen_bytes), set(gen_bytes)
-    truncated = _grow(order, [_table(g) for g in gen_bytes], seen, element_budget // n)
+    truncated = _grow(order, [translation_table(g) for g in gen_bytes], seen, element_budget // n)
     gen_ts = tuple(Transformation(tuple(b)) for b in gen_bytes)
     return Semigroup(n, gen_ts, order, seen, truncated)
 
@@ -168,7 +159,7 @@ def extend_closure(base: set[bytes], gen_tables: list[bytes], t: bytes,
     holding the set of all cycle-free arrays of length n passes its
     ``issuperset``, one hash lookup per element.  ``base`` is not mutated.
     """
-    t_table = _table(t)
+    t_table = translation_table(t)
     level = set(map(bytes.translate, base, repeat(t_table)))
     level.add(t)
     level -= base
@@ -195,7 +186,7 @@ def is_transition_complete(s: Semigroup) -> bool:
     candidates = aperiodic_transformations(s.n)
     cycle_free = frozenset(candidates).issuperset
     base = set(s.element_arrays())
-    gen_tables = [_table(bytes(g.images)) for g in s.generators]
+    gen_tables = [translation_table(bytes(g.images)) for g in s.generators]
     for cand in candidates:
         if cand in base:
             continue
@@ -328,15 +319,6 @@ def unitary_generator_check(generators) -> UnitaryVerdict:
             cycle_edges = list(zip(ring, ring[1:])) + [(ring[-1], start)]
             return UnitaryVerdict("k_cyclic", tuple(edges[e] for e in cycle_edges))
     return UnitaryVerdict("aperiodic")
-
-
-def strongly_connected_bipath_check(generators) -> bool:
-    """True iff every strongly connected component of the edge graph is a bipath."""
-    gens = list(generators)
-    for g in gens:
-        if _unitary_edge(g) is None:
-            raise ValueError(f"generator {g} is not unitary")
-    return bool(unitary_generator_check(gens))
 
 
 def count_k_partial(s: Semigroup, k: int) -> int:

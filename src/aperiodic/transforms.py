@@ -1,4 +1,4 @@
-"""Exact algebra of total and k-partial transformations of Q = {0..n-1}.
+"""Exact algebra of transformations of Q = {0..n-1}.
 
 A transformation is stored as its image array: ``images[q]`` is the image of
 state ``q``.  Values are immutable and hashable, so they can live in sets and
@@ -7,7 +7,6 @@ serve as dictionary keys during semigroup closure.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -136,6 +135,15 @@ def has_cycle_images(images) -> bool:
 _IDENTITY = bytes(range(256))
 
 
+def translation_table(images: bytes) -> bytes:
+    """Extend an image array to a 256-byte ``bytes.translate`` table.
+
+    The tail past the array is the identity, so ``p.translate(table)``
+    composes p with the array (p first) and adds only fixed points.
+    """
+    return images + _IDENTITY[len(images):]
+
+
 @lru_cache(maxsize=None)
 def _lane_shifts(n: int) -> tuple[bytes, ...]:
     """Translation tables adding j*n to a state, one per byte lane j."""
@@ -163,7 +171,7 @@ def any_cycle_images(arrays, n: int) -> bool:
         packed = b"".join(map(bytes.translate, islice(arrays, lanes), shifts))
         if not packed:
             return False
-        t = packed + _IDENTITY[len(packed):]
+        t = translation_table(packed)
         p = t
         for _ in range(squarings):
             p = p.translate(p)
@@ -212,91 +220,3 @@ def is_partially_monotonic(t: Transformation) -> bool:
             return False
         last = p
     return True
-
-
-_BOX_TOKEN = re.compile(r"^B([1-9][0-9]*)$")
-
-
-@dataclass(frozen=True)
-class KPartialTransformation:
-    """A map of {0..n-1} into the states plus k distinguishable boxes.
-
-    ``images[q]`` is either a state in [0, n-1] or n - 1 + j for box j
-    (boxes are numbered 1..k and are order-significant).  With k = 0 this is
-    a plain total transformation.
-    """
-
-    images: tuple[int, ...]
-    k: int
-
-    def __post_init__(self):
-        n = len(self.images)
-        if n == 0:
-            raise ValueError("a k-partial transformation needs at least one state")
-        if self.k < 0:
-            raise ValueError("k must be non-negative")
-        for q, p in enumerate(self.images):
-            if not 0 <= p < n + self.k:
-                raise ValueError(f"image of state {q} is out of range: {p}")
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def is_box(self, q: int) -> bool:
-        return self.images[q] >= self.n
-
-    def box_index(self, q: int) -> int:
-        """1-based index of the box state q maps to."""
-        if not self.is_box(q):
-            raise ValueError(f"state {q} maps to a state, not a box")
-        return self.images[q] - self.n + 1
-
-    def domain(self) -> tuple[int, ...]:
-        """States whose image is an actual state (dom(t) for k = 1)."""
-        return tuple(q for q in range(self.n) if not self.is_box(q))
-
-    def to_transformation(self) -> Transformation:
-        if any(self.is_box(q) for q in range(self.n)):
-            raise ValueError("transformation has boxed images")
-        return Transformation(self.images)
-
-    @classmethod
-    def from_transformation(cls, t: Transformation, k: int = 0) -> "KPartialTransformation":
-        return cls(t.images, k)
-
-    def __str__(self) -> str:
-        parts = []
-        for q in range(self.n):
-            parts.append(f"B{self.box_index(q)}" if self.is_box(q) else str(self.images[q]))
-        return "[" + ",".join(parts) + "]"
-
-    @classmethod
-    def from_text(cls, text: str, n: int, k: int) -> "KPartialTransformation":
-        """Parse the ``[p0,B1,...]`` form; boxes use tokens B1..Bk."""
-        body = text.strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ValueError(f"k-partial transformation must be bracketed: {text!r}")
-        images = []
-        for item in (s.strip() for s in body[1:-1].split(",")):
-            m = _BOX_TOKEN.match(item)
-            if m:
-                j = int(m.group(1))
-                if j > k:
-                    raise ValueError(f"box token {item} exceeds k={k}")
-                images.append(n - 1 + j)
-            else:
-                try:
-                    images.append(int(item))
-                except ValueError:
-                    raise ValueError(f"bad token {item!r} in {text!r}") from None
-        if len(images) != n:
-            raise ValueError(f"expected {n} images, got {len(images)}")
-        return cls(tuple(images), k)
-
-
-def all_transformations(n: int):
-    """Yield every image tuple on n states, lexicographically."""
-    from itertools import product
-
-    return product(range(n), repeat=n)

@@ -15,7 +15,6 @@ from aperiodic.automata import (
     minimize,
     parse_dfa,
     product_dfa,
-    reverse,
     reverse_determinize,
     reverse_steps,
     transition_semigroup,
@@ -121,15 +120,6 @@ def test_minimize_preserves_language():
         m = minimize(shuffled)
         for word in _sample_words(shuffled, rng):
             assert shuffled.accepts(word) == m.accepts(word)
-
-
-def test_reverse_nfa_shape():
-    nfa = reverse(UI21)
-    assert nfa.initials == UI21.finals
-    assert nfa.finals == frozenset({0})
-    # (p -> q) edges flip: letter a_{0,1} maps 0 and 1 to 1
-    first = dict(zip(UI21.alphabet, nfa.relation))["a_{0,1}"]
-    assert first == frozenset({(1, 0), (1, 1), (2, 2)})
 
 
 def test_reverse_determinize_single_state():

@@ -1,10 +1,14 @@
 """CLI surface: formats, exit codes, round-trips, env overrides."""
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aperiodic.cli import main
 from aperiodic.combinatorics import sctree_size, unitary_family_size
@@ -166,6 +170,8 @@ def test_optimize_commands(capsys):
     ("optimize", "ui", "0"),
     ("table", "--max", "1001"),
     ("table", "--min", "0"),
+    ("search", "8"),
+    ("reversal", "--random", "--n", "0"),
 ])
 def test_out_of_domain_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -284,3 +290,55 @@ def test_product_needs_arguments(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: product needs")
+
+
+# integers a little outside every documented domain, and a non-integer
+_INT = st.sampled_from([*map(str, range(-3, 10)), "x"])
+
+
+def _opt(flag, values):
+    return st.one_of(st.just(()), values.map(lambda v: (flag, v)))
+
+
+def _one(values):
+    return values.map(lambda v: (v,))
+
+
+# every example stays cheap: search budgets <= 2,000 products, family
+# specs <= 6 states, product --m <= 6, reversal --count <= 3
+_ARGV = st.tuples(
+    st.one_of(
+        st.tuples(st.just(("table",)), _opt("--min", _INT), _opt("--max", _INT),
+                  _opt("--classes", st.sampled_from(("aperiodic", "finite,sc-tree-1", "nope")))),
+        st.tuples(st.just(("optimize",)), _one(st.sampled_from(("ui", "scti", "mixed"))),
+                  _one(_INT)),
+        st.tuples(st.just(("search",)), _one(_INT),
+                  _one(st.integers(-3, 2000).map(lambda v: f"--max-products={v}")),
+                  st.sampled_from(((), ("--no-seed",)))),
+        st.tuples(st.just(("family",)), _one(st.sampled_from(("u", "ui", "sct", "scti"))),
+                  _one(st.sampled_from(("1", "6", "(3,3)", "(1,2,3)", "(1,1)", "((1,2),3)",
+                                        "((2,2),(1,1))", "(3,0)", "((1,2)", "x", ""))),
+                  st.sampled_from(((), ("--size",), ("--verify",)))),
+        st.tuples(st.just(("product",)), _opt("--m", st.integers(-3, 6).map(str)),
+                  _opt("--fl", _INT)),
+        st.tuples(st.just(("reversal", "--random")), _opt("--seed", _INT),
+                  _one(st.integers(-3, 3).map(lambda v: f"--count={v}")),
+                  _opt("--n", _INT), _opt("--words", _INT)),
+    ),
+    _opt("--format", st.sampled_from(("text", "json", "csv"))),
+).map(lambda groups: [arg for part in (*groups[0], groups[1]) for arg in part])
+
+
+@settings(max_examples=150)
+@given(_ARGV)
+def test_cli_exit_codes_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        assert exc.code == 2, argv
+        return
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), argv

@@ -10,17 +10,21 @@ from hypothesis import strategies as st
 
 from aperiodic.semigroups import (
     Semigroup,
-    _table,
     aperiodic_transformations,
     closure,
     count_k_partial,
     extend_closure,
     is_aperiodic,
     is_transition_complete,
-    strongly_connected_bipath_check,
     unitary_generator_check,
 )
-from aperiodic.transforms import Transformation, has_cycle_images, identity, unitary
+from aperiodic.transforms import (
+    Transformation,
+    has_cycle_images,
+    identity,
+    translation_table,
+    unitary,
+)
 
 
 def t(*images):
@@ -134,9 +138,10 @@ def test_extend_closure_matches_full_closures():
         t = bytes(rng.randrange(n) for _ in range(n))
         base = set(closure(map(_transformation, gens)).element_arrays()) if gens else set()
         before = set(base)
-        new = extend_closure(base, [_table(g) for g in gens], t)
+        tables = [translation_table(g) for g in gens]
+        new = extend_closure(base, tables, t)
         assert base == before
-        assert extend_closure(base, [_table(g) for g in gens], t, cycle_free[n]) == new
+        assert extend_closure(base, tables, t, cycle_free[n]) == new
         full = closure(map(_transformation, gens + [t]))
         expected = set(full.element_arrays()) - base
         if any(map(has_cycle_images, expected)):
@@ -148,8 +153,8 @@ def test_extend_closure_matches_full_closures():
             outcomes.add(new is None)
         for known in (min(base), max(base)) if base else ():
             # a generator already in the closure adds nothing
-            assert extend_closure(base, [_table(g) for g in gens], known) == set()
-            assert extend_closure(base, [_table(g) for g in gens], known, cycle_free[n]) == set()
+            assert extend_closure(base, tables, known) == set()
+            assert extend_closure(base, tables, known, cycle_free[n]) == set()
         assert base == before
     assert outcomes == {True, False}
 
@@ -196,16 +201,48 @@ def test_unitary_check_aperiodic_and_not_unitary():
     assert verdict.kind == "not_unitary"
 
 
+def _bipath_components(n, edges) -> bool:
+    """The theorem's graph form: every strongly connected component of the
+    edge graph (a set of (p, q) pairs) is a bipath.
+
+    Components come from reachability.  A component of k states is a bipath
+    when its internal edges all run both ways, there are 2(k - 1) of them
+    (so they form a tree) and no state has more than two of them leaving it
+    (so the tree is a path).
+    """
+    reach = []
+    for v in range(n):
+        seen, stack = {v}, [v]
+        while stack:
+            x = stack.pop()
+            for p, q in edges:
+                if p == x and q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        reach.append(seen)
+    for v in range(n):
+        comp = {u for u in reach[v] if v in reach[u]}
+        internal = [(p, q) for p, q in edges if p in comp and q in comp]
+        if any((q, p) not in edges for p, q in internal):
+            return False
+        if len(internal) != 2 * (len(comp) - 1):
+            return False
+        if any(sum(p == x for p, _ in internal) > 2 for x in comp):
+            return False
+    return True
+
+
 def test_bipath_check():
-    gens = [unitary(3, 0, 1), unitary(3, 1, 0), unitary(3, 1, 2), unitary(3, 2, 1)]
-    assert strongly_connected_bipath_check(gens)
-    assert not strongly_connected_bipath_check(
-        [unitary(3, 0, 1), unitary(3, 1, 2), unitary(3, 2, 0)]
-    )
+    assert _bipath_components(3, {(0, 1), (1, 0), (1, 2), (2, 1)})
+    assert not _bipath_components(3, {(0, 1), (1, 2), (2, 0)})
     # all-forward sets have singleton components only
-    assert strongly_connected_bipath_check([unitary(3, 0, 1), unitary(3, 0, 2)])
-    with pytest.raises(ValueError):
-        strongly_connected_bipath_check([t(1, 1, 1)])
+    assert _bipath_components(3, {(0, 1), (0, 2)})
+    # a bidirectional 3-ring has the right degrees but too many edges
+    assert not _bipath_components(3, {(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)})
+    # a bidirectional star: a tree, but its centre has three neighbours
+    assert not _bipath_components(4, {(0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0)})
+    # out-edges leaving a bipath component do not count against it
+    assert _bipath_components(4, {(0, 1), (1, 0), (0, 2), (0, 3)})
 
 
 def _all_edges(n):
@@ -213,13 +250,14 @@ def _all_edges(n):
 
 
 def test_theorem_equivalence_exhaustive_small():
-    """check = bipath components = closure aperiodicity, all sets of <= 6 edges on 4 states."""
+    """Pattern check = bipath components (test-side oracle) = closure
+    aperiodicity, on all sets of <= 6 edges on 4 states."""
     edges = _all_edges(4)
     for k in range(1, 7):
         for subset in combinations(edges, k):
             gens = [unitary(4, p, q) for p, q in subset]
             by_pattern = unitary_generator_check(gens).kind == "aperiodic"
-            by_graph = strongly_connected_bipath_check(gens)
+            by_graph = _bipath_components(4, set(subset))
             by_closure = is_aperiodic(closure(gens))
             assert by_pattern == by_graph == by_closure
 
@@ -236,7 +274,7 @@ def test_theorem_equivalence_sampled_larger_sets():
             subset.add(edges[rng.below(len(edges))])
         gens = [unitary(4, p, q) for p, q in subset]
         by_pattern = unitary_generator_check(gens).kind == "aperiodic"
-        by_graph = strongly_connected_bipath_check(gens)
+        by_graph = _bipath_components(4, subset)
         by_closure = is_aperiodic(closure(gens))
         assert by_pattern == by_graph == by_closure
 
