@@ -16,40 +16,39 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict, fields
 
 from . import combinatorics as comb
 from .automata import is_minimal, parse_dfa, product_dfa, transition_semigroup
 from .experiments import (
+    ProductRecord,
+    ReversalRecord,
     concatenation_bound,
     family_products,
     reversal_experiment,
     reversal_record,
 )
-from .families import (
-    build_family,
-    parse_distribution,
-    parse_structure,
-)
+from .families import build_family, parse_distribution, parse_structure
 from .optimizer import SctiDpTable, UiDpTable
 from .rng import SplitMix64
 from .search import max_aperiodic
 from .semigroups import DEFAULT_ELEMENT_BUDGET, is_aperiodic
 
-TABLE_CLASSES = (
-    "monotonic",
-    "part-mon",
-    "near-mon",
-    "finite",
-    "j-trivial",
-    "r-trivial",
-    "comp-unitary-1",
-    "sc-tree-1",
-    "aperiodic",
-)
+# formula class -> (smallest n it is defined for, exact size function)
+_FORMULAS = {
+    "monotonic": (1, comb.monotonic_size),
+    "part-mon": (2, comb.partially_monotonic_size),
+    "near-mon": (2, comb.nearly_monotonic_size),
+    "finite": (1, comb.finite_language_size),
+    "j-trivial": (1, comb.j_trivial_size),
+    "r-trivial": (1, comb.r_trivial_size),
+}
+TABLE_CLASSES = (*_FORMULAS, "comp-unitary-1", "sc-tree-1", "aperiodic")
 
 UI_CAP = 1000
 SCTI_CAP = 500
 SEARCH_CAP = 4
+PRODUCT_M_CAP = 7
 TABLE_SEARCH_PRODUCTS = 200_000
 TABLE_SEARCH_SECONDS = 15.0
 
@@ -65,8 +64,6 @@ def default_budget() -> int:
 
 
 def _render(rows, fmt: str, columns) -> str:
-    if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore")
@@ -97,47 +94,43 @@ def _emit(args, rows, columns, failures, extra=None):
     return 1 if failures else 0
 
 
+def _load_dfa(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return parse_dfa(fh.read())
+
+
+def _close(d, budget=None):
+    """The DFA's transition semigroup and its aperiodicity, None if truncated."""
+    s = transition_semigroup(d, element_budget=budget or default_budget())
+    return s, None if s.truncated else is_aperiodic(s)
+
+
+def _search_provenance(result) -> str:
+    return "search" if result.exhaustive else "search-bounded"
+
+
 def _table_value(cls: str, n: int, ui_table, scti_table):
     """(value, witness, provenance) for one table cell; '-' and '?' literal.
 
     A '?' cell lies beyond the cap of the computation for its class and was
     not computed, so its provenance is 'none'.
     """
-    if cls == "monotonic":
-        return str(comb.monotonic_size(n)), None, "formula"
-    if cls == "part-mon":
-        if n < 2:
-            return "-", None, "formula"
-        return str(comb.partially_monotonic_size(n)), None, "formula"
-    if cls == "near-mon":
-        if n < 2:
-            return "-", None, "formula"
-        return str(comb.nearly_monotonic_size(n)), None, "formula"
-    if cls == "finite":
-        return str(comb.finite_language_size(n)), None, "formula"
-    if cls == "j-trivial":
-        return str(comb.j_trivial_size(n)), None, "formula"
-    if cls == "r-trivial":
-        return str(comb.r_trivial_size(n)), None, "formula"
-    if cls == "comp-unitary-1":
-        if n < 2:
-            return "-", None, "dp"
-        if n > UI_CAP:
-            return "?", None, "dp"
-        return str(ui_table.values[n]), str(ui_table.witness(n)), "dp"
-    if cls == "sc-tree-1":
-        if n < 2:
-            return "-", None, "dp"
-        if n > SCTI_CAP:
-            return "?", None, "none"
-        return str(scti_table.value(n)), str(scti_table.witness(n)), "dp"
+    if cls in _FORMULAS:
+        least, size = _FORMULAS[cls]
+        return (str(size(n)) if n >= least else "-"), None, "formula"
     if cls == "aperiodic":
         if n > SEARCH_CAP:
             return "?", None, "none"
         result = max_aperiodic(n, max_products=TABLE_SEARCH_PRODUCTS,
                                max_seconds=TABLE_SEARCH_SECONDS)
-        return str(result.size), None, "search" if result.exhaustive else "search-bounded"
-    raise ValueError(f"unknown class {cls!r}")
+        return str(result.size), None, _search_provenance(result)
+    if n < 2:
+        return "-", None, "dp"
+    if cls == "comp-unitary-1":
+        return str(ui_table.values[n]), str(ui_table.witness(n)), "dp"
+    if n > SCTI_CAP:
+        return "?", None, "none"
+    return str(scti_table.value(n)), str(scti_table.witness(n)), "dp"
 
 
 def cmd_table(args) -> int:
@@ -147,35 +140,29 @@ def cmd_table(args) -> int:
     for cls in classes:
         if cls not in TABLE_CLASSES:
             raise ValueError(f"unknown class {cls!r}; choose from {', '.join(TABLE_CLASSES)}")
-    ui_table = UiDpTable.compute(min(args.max, UI_CAP)) if "comp-unitary-1" in classes else None
+    ui_table = UiDpTable.compute(args.max) if "comp-unitary-1" in classes else None
     scti_table = (SctiDpTable.compute(min(args.max, SCTI_CAP))
                   if "sc-tree-1" in classes else None)
+    columns = ("class", "n", "value", "witness", "provenance")
     rows = []
     failures = []
     for n in range(args.min, args.max + 1):
         for cls in classes:
             try:
-                value, witness, provenance = _table_value(cls, n, ui_table, scti_table)
+                cell = _table_value(cls, n, ui_table, scti_table)
             except Exception as exc:  # report per-row, keep going
-                rows.append({"class": cls, "n": n, "value": "?", "witness": None,
-                             "provenance": "error"})
+                cell = ("?", None, "error")
                 failures.append(f"{cls} n={n}: {exc}")
-                continue
-            rows.append({"class": cls, "n": n, "value": value,
-                         "witness": witness, "provenance": provenance})
-    return _emit(args, rows, ("class", "n", "value", "witness", "provenance"), failures)
+            rows.append(dict(zip(columns, (cls, n, *cell))))
+    return _emit(args, rows, columns, failures)
 
 
 def cmd_closure(args) -> int:
-    with open(args.dfa, encoding="utf-8") as fh:
-        d = parse_dfa(fh.read())
-    s = transition_semigroup(d, element_budget=args.budget or default_budget())
+    d = _load_dfa(args.dfa)
+    s, aperiodic = _close(d, args.budget)
     failures = []
     if s.truncated:
         failures.append(f"closure truncated at {len(s)} elements (budget)")
-        aperiodic = None
-    else:
-        aperiodic = is_aperiodic(s)
     report = is_minimal(d)
     row = {
         "file": args.dfa,
@@ -198,18 +185,16 @@ def cmd_closure(args) -> int:
     return _emit(args, rows, columns, failures)
 
 
-def _parse_family_spec(kind: str, spec: str):
-    if kind in ("u", "ui"):
-        return parse_distribution(spec)
-    return parse_structure(spec)
-
-
 def cmd_family(args) -> int:
-    spec = _parse_family_spec(args.kind, args.spec)
+    if args.emit_dfa == "-" and args.format != "text":
+        raise ValueError(f"--emit-dfa - would mix the DFA into the {args.format} "
+                         "output on stdout; give a file name")
+    unitary = args.kind in ("u", "ui")
+    spec = parse_distribution(args.spec) if unitary else parse_structure(args.spec)
+    d = build_family(args.kind, spec) if args.emit_dfa or args.verify else None
     failures = []
     row = {"family": args.kind, "spec": str(spec), "n": spec.n}
     if args.emit_dfa:
-        d = build_family(args.kind, spec)
         text = d.to_text()
         if args.emit_dfa == "-":
             sys.stdout.write(text)
@@ -219,27 +204,19 @@ def cmd_family(args) -> int:
         row["emitted"] = args.emit_dfa
         row["provenance"] = "closure"
     if args.size or args.verify or not args.emit_dfa:
-        if args.kind in ("u", "ui"):
-            value = comb.unitary_family_size(spec)
-            if args.kind == "u":
-                value -= 1  # the identity is not a product of unitaries
-        else:
-            value = comb.sctree_size(spec)
-            if args.kind == "sct":
-                value -= 1
+        value = comb.unitary_family_size(spec) if unitary else comb.sctree_size(spec)
+        # without the identity letter (u, sct) the identity is not a product
+        value -= args.kind in ("u", "sct")
         row["value"] = str(value)
         row["provenance"] = "formula"
     if args.verify:
-        d = build_family(args.kind, spec)
-        s = transition_semigroup(d, element_budget=args.budget or default_budget())
+        s, aperiodic = _close(d, args.budget)
         if s.truncated:
             failures.append("closure truncated; raise the budget")
-        row["closure"] = len(s)
-        row["aperiodic"] = None if s.truncated else is_aperiodic(s)
-        row["minimal"] = is_minimal(d).minimal
-        row["provenance"] = "closure"
-        if not s.truncated and int(row["value"]) != len(s):
-            failures.append(f"formula {row['value']} != closure {len(s)}")
+        row.update(closure=len(s), aperiodic=aperiodic, minimal=is_minimal(d).minimal,
+                   provenance="closure")
+        if not s.truncated and value != len(s):
+            failures.append(f"formula {value} != closure {len(s)}")
     columns = ("family", "spec", "n", "value", "closure", "aperiodic",
                "minimal", "emitted", "provenance")
     return _emit(args, [row], columns, failures)
@@ -272,7 +249,6 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_search(args) -> int:
-    t0 = time.monotonic()
     result = max_aperiodic(
         args.n,
         max_products=args.max_products,
@@ -287,8 +263,8 @@ def cmd_search(args) -> int:
         "exhaustive": result.exhaustive,
         "distinct_maxima": result.distinct_maxima,
         "products": result.products_used,
-        "provenance": "search" if result.exhaustive else "search-bounded",
-        "seconds": round(time.monotonic() - t0, 3),
+        "provenance": _search_provenance(result),
+        "seconds": round(result.elapsed, 3),
     }
     return _emit(args, [row],
                  ("n", "value", "witness", "exhaustive", "distinct_maxima",
@@ -298,40 +274,31 @@ def cmd_search(args) -> int:
 def cmd_reversal(args) -> int:
     if args.dfa and args.random:
         raise ValueError("choose either --dfa or --random")
-    failures = []
-    rows = []
+    if args.count < 1 or args.words < 1:
+        raise ValueError("--count and --words need to be at least 1")
     if args.dfa:
-        with open(args.dfa, encoding="utf-8") as fh:
-            d = parse_dfa(fh.read())
-        s = transition_semigroup(d, element_budget=default_budget())
+        d = _load_dfa(args.dfa)
+        s, aperiodic = _close(d)
         if s.truncated:
             raise ValueError(f"closure of {args.dfa} truncated at {len(s)} elements (budget)")
-        if not is_aperiodic(s):
+        if not aperiodic:
             raise ValueError(f"{args.dfa} is not aperiodic; the reversal bounds assume it is")
         records = [reversal_record(d, SplitMix64(args.seed), args.words)]
     else:
         ns = (2, 3, 4, 5, 6) if args.n is None else (args.n,)
         records = reversal_experiment(args.seed, args.count, ns, args.words)
+    rows = []
+    failures = []
     for i, rec in enumerate(records):
-        rows.append({
-            "instance": i,
-            "n": rec.n,
-            "letters": rec.letters,
-            "complexity": rec.complexity,
-            "bound": rec.bound,
-            "within_bound": rec.within_bound,
-            "complement_identity": rec.complement_ok,
-            "complement_unreached": rec.complement_unreached,
-        })
+        rows.append({"instance": i, **asdict(rec)})
         if not rec.within_bound:
             failures.append(f"instance {i}: complexity {rec.complexity} > bound {rec.bound}")
-        if not rec.complement_ok:
+        if not rec.complement_identity:
             failures.append(f"instance {i}: complement identity violated")
         if not rec.complement_unreached:
             failures.append(f"instance {i}: complement of F reached from F")
     extra = {"seed": args.seed, "violations": len(failures)}
-    columns = ("instance", "n", "letters", "complexity", "bound", "within_bound",
-               "complement_identity", "complement_unreached")
+    columns = ("instance", *(f.name for f in fields(ReversalRecord)))
     code = _emit(args, rows, columns, failures, extra)
     if args.format != "json":
         sys.stdout.write(f"seed: {args.seed}  violations: {len(failures)}\n")
@@ -341,16 +308,14 @@ def cmd_reversal(args) -> int:
 def cmd_product(args) -> int:
     if not args.files and (args.m is None or args.fl is None):
         raise ValueError("product needs either --files K L or both --m and --fl")
-    failures = []
-    rows = []
+    if args.m is not None and not 2 <= args.m <= PRODUCT_M_CAP:
+        raise ValueError(f"product --m needs 2 <= m <= {PRODUCT_M_CAP}")
     if args.files:
         k_path, l_path = args.files
-        with open(k_path, encoding="utf-8") as fh:
-            k_dfa = parse_dfa(fh.read())
-        with open(l_path, encoding="utf-8") as fh:
-            l_dfa = parse_dfa(fh.read())
+        k_dfa, l_dfa = _load_dfa(k_path), _load_dfa(l_path)
         result = product_dfa(k_dfa, l_dfa)
         row = {"k": k_path, "l": l_path, "m": k_dfa.n, "complexity": result.n}
+        failures = []
         if l_dfa.n == 2 and len(l_dfa.finals) == 1:
             final_state = next(iter(l_dfa.finals))
             bound = concatenation_bound(k_dfa.n, final_state)
@@ -358,28 +323,15 @@ def cmd_product(args) -> int:
             row["within_bound"] = result.n <= bound
             if not row["within_bound"]:
                 failures.append(f"complexity {result.n} > bound {bound}")
-        rows.append(row)
+        rows = [row]
         columns = ("k", "l", "m", "complexity", "bound", "within_bound")
     else:
         records = family_products(ms=(args.m,), final_states=(args.fl,))
-        for rec in records:
-            rows.append({
-                "family": rec.family,
-                "spec": rec.spec,
-                "m": rec.m,
-                "variant": "+".join(rec.variant),
-                "fl": rec.final_state,
-                "complexity": rec.complexity,
-                "bound": rec.bound,
-                "within_bound": rec.within_bound,
-            })
-            if not rec.within_bound:
-                failures.append(
-                    f"{rec.family}{rec.spec} x {rec.variant} FL={rec.final_state}: "
+        rows = [asdict(rec) for rec in records]
+        failures = [f"{rec.family}{rec.spec} x {rec.variant} FL={rec.fl}: "
                     f"complexity {rec.complexity} > bound {rec.bound}"
-                )
-        columns = ("family", "spec", "m", "variant", "fl", "complexity",
-                   "bound", "within_bound")
+                    for rec in records if not rec.within_bound]
+        columns = tuple(f.name for f in fields(ProductRecord))
     extra = {"violations": len(failures)}
     code = _emit(args, rows, columns, failures, extra)
     if args.format != "json" and not args.files:
@@ -453,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reversal)
 
     p = sub.add_parser("product", help="concatenation complexity experiment")
-    p.add_argument("--m", type=int, help="left-operand family size (2..5)")
+    p.add_argument("--m", type=int, help=f"left-operand family size (2..{PRODUCT_M_CAP})")
     p.add_argument("--fl", type=int, choices=(0, 1), help="final state of the 2-state right operand")
     p.add_argument("--files", nargs=2, metavar=("K", "L"), help="two DFA files over one alphabet")
     add_format(p)

@@ -80,7 +80,7 @@ class ReversalRecord:
     complexity: int
     bound: int
     within_bound: bool
-    complement_ok: bool
+    complement_identity: bool
     complement_unreached: bool
 
 
@@ -121,7 +121,7 @@ def reversal_record(d: Dfa, rng: SplitMix64, words: int = 100) -> ReversalRecord
         complexity=complexity,
         bound=bound,
         within_bound=complexity <= bound,
-        complement_ok=check_complement_identity(d, rng, words),
+        complement_identity=check_complement_identity(d, rng, words),
         complement_unreached=unreached,
     )
 
@@ -168,8 +168,8 @@ class ProductRecord:
     family: str
     spec: str
     m: int
-    variant: tuple[str, ...]
-    final_state: int
+    variant: str  # the 2-state maps joined by "+", e.g. "c1+id"
+    fl: int  # the final state of the 2-state operand
     complexity: int
     bound: int
     within_bound: bool
@@ -193,8 +193,8 @@ def product_record(k_dfa: Dfa, family: str, spec: str, variant,
         family=family,
         spec=spec,
         m=m,
-        variant=tuple(variant),
-        final_state=final_state,
+        variant="+".join(variant),
+        fl=final_state,
         complexity=complexity,
         bound=bound,
         within_bound=complexity <= bound,

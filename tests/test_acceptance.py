@@ -166,7 +166,7 @@ def test_c08_reversal_property():
     assert len(records) == 200
     violations = [
         r for r in records
-        if not (r.within_bound and r.complement_ok and r.complement_unreached)
+        if not (r.within_bound and r.complement_identity and r.complement_unreached)
     ]
     assert violations == []
     _report(8, "reversal bound + complement identity, 200 DFAs", start, 300.0)
@@ -177,7 +177,7 @@ def test_c09_product_property():
     records = family_products(ms=(2, 3, 4, 5), final_states=(0, 1))
     violations = [r for r in records if not r.within_bound]
     assert violations == []
-    assert {r.final_state for r in records} == {0, 1}
+    assert {r.fl for r in records} == {0, 1}
     _report(9, "product bounds 2m+1 / 3m-2, zero violations", start, 60.0)
 
 

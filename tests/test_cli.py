@@ -117,6 +117,19 @@ def test_family_emit_and_closure_roundtrip(tmp_path, capsys):
     assert row["size"] == 8 and row["aperiodic"] is True and row["minimal"] is True
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_family_emit_to_stdout_needs_text(capsys, fmt):
+    # the DFA text ahead of the document would leave neither parseable
+    code, out, err = run(capsys, "family", "scti", "((2,2),2)", "--verify",
+                         "--emit-dfa", "-", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    code, out, _ = run(capsys, "family", "scti", "((2,2),2)", "--emit-dfa", "-")
+    assert code == 0
+    assert out.startswith("6 21\n")
+
+
 def test_closure_element_dump(tmp_path, capsys):
     dfa_path = tmp_path / "one.dfa"
     run(capsys, "family", "scti", "2", "--emit-dfa", str(dfa_path))
@@ -172,6 +185,11 @@ def test_optimize_commands(capsys):
     ("table", "--min", "0"),
     ("search", "8"),
     ("reversal", "--random", "--n", "0"),
+    ("reversal", "--random", "--count", "0"),
+    ("reversal", "--random", "--count", "-3"),
+    ("reversal", "--random", "--n", "3", "--words", "-3"),
+    ("product", "--m", "1", "--fl", "0"),
+    ("product", "--m", "8", "--fl", "0"),
 ])
 def test_out_of_domain_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -283,6 +301,43 @@ def test_experiment_outputs_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("table", "--max", "5"),
+     "67b21efe1bb288f892ef2b943cb2bd234db23861e1548a4738121bc8e44ad082"),
+    (("optimize", "ui", "13"),
+     "c9d83a04772b4eed44b762f258d3ca092fe86c0ca8f7969d44bdfef5b8a119cf"),
+    (("optimize", "scti", "6"),
+     "f6234241301dc82a5883be4d629bd28fd21c3d79d0a47c72a7b04e857ce57fcc"),
+    (("search", "3", "--no-seed"),
+     "5238c42992bdecc16df958cdd03c641dcee1eca7746f7b84e7f6536b9cb0a6c1"),
+    (("family", "ui", "(2,2)", "--verify"),
+     "941daacfe02c76e2ba64eaeafd7f70abbd18a50333a19082df5fab71992df5a9"),
+    (("family", "scti", "((2,2),2)", "--verify"),
+     "a03432133145292fb40898bcf59286fcb10ee3e5e17c5b66940d9bcada0224ec"),
+    (("family", "scti", "((2,2),2)", "--verify", "--emit-dfa", "out.dfa"),
+     "1272bc5fca3b63d83941c5df17a21caee28d77172f00b0d28c4c15fbf200a3e8"),
+    (("closure", "tree6.dfa"),
+     "0906c6583de694fab372695c84f5a591ecd27a2ae2a0e3fa0b19fee8128fb3df"),
+    (("product", "--files", "k.dfa", "l.dfa"),
+     "d632a70df5325fa5fda898c7748c9a175f4bd2edb6ce8bd08616f705d0ac5e0c"),
+])
+def test_json_outputs_pinned(tmp_path, monkeypatch, capsys, argv, digest):
+    # sha256 of each command's JSON, key order kept and timings dropped; the
+    # input files get fixed relative names so the paths in the rows are fixed
+    monkeypatch.chdir(tmp_path)
+    Path("k.dfa").write_text("2 2\n0\n1\na: 1 1\nb: 0 0\n")
+    Path("l.dfa").write_text("2 2\n0\n1\na: 1 1\nb: 0 1\n")
+    assert main(["family", "scti", "((2,2),2)", "--emit-dfa", "tree6.dfa"]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    for row in payload["rows"]:
+        row.pop("seconds", None)
+    text = json.dumps(payload, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_product_needs_arguments(capsys):

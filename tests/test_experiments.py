@@ -61,7 +61,7 @@ def test_reversal_experiment_small():
     assert len(records) == 15
     for rec in records:
         assert rec.within_bound
-        assert rec.complement_ok
+        assert rec.complement_identity
         assert rec.complement_unreached
 
 
@@ -79,4 +79,4 @@ def test_family_products_small():
     for rec in records:
         assert rec.within_bound, rec
     # both bound regimes exercised
-    assert {rec.final_state for rec in records} == {0, 1}
+    assert {rec.fl for rec in records} == {0, 1}
