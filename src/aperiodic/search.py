@@ -136,11 +136,16 @@ def max_aperiodic(
     branch's best size and witness, e.g. ``[0,0,1] 10 [0,0,1] [1,1,1]``.  A
     resumed run skips the stored branches and counts their results as found
     (``distinct_maxima`` then holds one closure per stored branch); a header
-    that does not match the run is a ``ValueError``, and so is n outside
-    1..``MAX_SEARCH_N``.
+    that does not match the run is a ``ValueError``, and so are n outside
+    1..``MAX_SEARCH_N``, ``max_products`` below 1 and ``max_seconds`` not
+    above 0 (``nan`` included).
     """
     if not 1 <= n <= MAX_SEARCH_N:
         raise ValueError(f"search needs 1 <= n <= {MAX_SEARCH_N}")
+    if max_products < 1:
+        raise ValueError("search needs max_products >= 1")
+    if not max_seconds > 0:
+        raise ValueError("search needs max_seconds > 0")
     start = time.monotonic()
     budget = _Budget(max_products, max_seconds)
     candidates = aperiodic_transformations(n)

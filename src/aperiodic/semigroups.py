@@ -8,12 +8,14 @@ scale everything here runs at.
 One level-wise core builds every closure: a level is the previous one
 times every generator, first occurrences kept, so elements come in BFS
 order.  ``closure`` runs it from the sorted generators under an element
-budget.  ``extend_closure`` adds one generator to a closed set, builds the
-first level with set algebra and stops at the first level holding an
-element with a cycle; the search, transition-completeness and the DFA
-sampler build on it.  The search and transition-completeness hold every
-cycle-free array of length n (``aperiodic_transformations``) and test a
-level by set containment instead of one cycle test per element.
+budget.  ``extend_closure`` adds one generator to a closed set and stops at
+the first level holding an element with a cycle; the search,
+transition-completeness and the DFA sampler build on it.  Most of its
+calls fail at the first level, so that level is tested lazily, product by
+product, and built as a set only when it passes.  The search and
+transition-completeness hold every cycle-free array of length n
+(``aperiodic_transformations``) and test a level by set containment
+instead of one cycle test per element.
 ``is_aperiodic`` tests a whole closure with the lane-packed power test of
 ``transforms.any_cycle_images``, 256 // n elements per step.
 """
@@ -21,7 +23,7 @@ level by set containment instead of one cycle test per element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product, repeat, starmap
+from itertools import chain, filterfalse, product, repeat, starmap
 
 from .transforms import Transformation, any_cycle_images, has_cycle_images, translation_table
 
@@ -154,19 +156,29 @@ def extend_closure(base: set[bytes], gen_tables: list[bytes], t: bytes,
 
     Returns the set of new elements, or None at the first level of them that
     fails ``cycle_free``.  Every new element is a word u t v with u in base
-    or empty, so the first level is base * t plus t itself; ``_grow`` grows
-    the rest.  The default test runs the cycle test per element; a caller
-    holding the set of all cycle-free arrays of length n passes its
-    ``issuperset``, one hash lookup per element.  ``base`` is not mutated.
+    or empty, so the first level is base * t plus t itself, minus base;
+    ``_grow`` grows the rest.  ``base`` is not mutated.
+
+    ``cycle_free`` takes an iterable of image arrays and is true iff every
+    one is cycle-free; it may stop at the first that is not and may see an
+    element twice.  The first level reaches it as a lazy iterator, so a call
+    that fails there (most of the search's) stops at the first product with
+    a cycle and builds no set.  The default runs the cycle test per element;
+    a caller holding the set of all cycle-free arrays of length n passes its
+    ``issuperset``, one hash lookup per element.  The first level is filtered
+    by ``base`` so that the test sees exactly the new elements: ``base`` need
+    not be aperiodic (a closure of cycle-free generators can hold elements
+    with a cycle), and base * t may land on such an element.
     """
     t_table = translation_table(t)
+    if not cycle_free(filterfalse(base.__contains__,
+                                  chain((t,), map(bytes.translate, base, repeat(t_table))))):
+        return None
     level = set(map(bytes.translate, base, repeat(t_table)))
     level.add(t)
     level -= base
     if not level:
         return level
-    if not cycle_free(level):
-        return None
     new = list(level)
     if _grow(new, gen_tables + [t_table], base | level, cycle_free=cycle_free) is None:
         return None

@@ -184,6 +184,11 @@ def test_optimize_commands(capsys):
     ("table", "--max", "1001"),
     ("table", "--min", "0"),
     ("search", "8"),
+    ("search", "3", "--no-seed", "--max-products", "-3"),
+    ("search", "3", "--no-seed", "--max-products", "0"),
+    ("search", "3", "--no-seed", "--max-seconds", "-1"),
+    ("search", "3", "--no-seed", "--max-seconds", "0"),
+    ("search", "3", "--no-seed", "--max-seconds", "nan"),
     ("reversal", "--random", "--n", "0"),
     ("reversal", "--random", "--count", "0"),
     ("reversal", "--random", "--count", "-3"),

@@ -1,5 +1,7 @@
 """Bounded exhaustive search for maximal aperiodic semigroups."""
 
+import hashlib
+
 import pytest
 
 from aperiodic import search
@@ -36,6 +38,23 @@ def test_search_without_seed_still_finds_max():
     assert [str(g) for g in result.generators] == [
         "[0,0,0]", "[0,0,1]", "[0,0,2]", "[0,1,0]", "[0,1,1]", "[0,1,2]", "[0,2,0]", "[1,1,1]"]
     assert result.products_used == 52836
+
+
+@pytest.mark.parametrize("n, max_products, size, products, count, digest", [
+    (4, 2_000_000, 47, 2_000_002, 32,
+     "ee233de54af07c322af7de4276c00343ffe51240e599944db9bc596b2ae58a5e"),
+    (5, 3_000_000, 208, 3_000_018, 136,
+     "4335309431c6073a8fec69d4e7f18b509ecf899462745a3eb8c2567404531c6f"),
+])
+def test_bounded_unseeded_search_pinned(n, max_products, size, products, count, digest):
+    # the budget cuts the DFS mid-tree: these pin its order and product accounting
+    result = max_aperiodic(n, max_products=max_products, seed_with_family=False)
+    assert (result.size, result.products_used, result.distinct_maxima, result.exhaustive) == (
+        size, products, 1, False)
+    # sha256 of the space-joined witness, computed with the set-built first level
+    text = " ".join(str(g) for g in result.generators)
+    assert len(result.generators) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_n4_budgeted_run_certifies_47():

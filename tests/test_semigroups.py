@@ -157,6 +157,14 @@ def test_extend_closure_matches_full_closures():
             assert extend_closure(base, tables, known, cycle_free[n]) == set()
         assert base == before
     assert outcomes == {True, False}
+    # cycle-free generators whose closure holds elements with a cycle, (2,2,0)
+    # and (1,0,1): base * t lands on them, and the level test must not see them
+    gens = [bytes([0, 0, 1]), bytes([2, 0, 2])]
+    base = set(closure(map(_transformation, gens)).element_arrays())
+    assert any(map(has_cycle_images, base))
+    tables = [translation_table(g) for g in gens]
+    assert extend_closure(base, tables, gens[0]) == set()
+    assert extend_closure(base, tables, gens[0], cycle_free[3]) == set()
 
 
 def test_is_aperiodic():
