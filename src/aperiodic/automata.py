@@ -171,17 +171,19 @@ def _explore(start, successors):
     return order, rows
 
 
-def reverse_determinize(d: Dfa) -> tuple[Dfa, tuple[frozenset[int], ...]]:
+def reverse_determinize(d: Dfa, *, steps=None) -> tuple[Dfa, tuple[frozenset[int], ...]]:
     """Determinize the reversed NFA by the subset construction.
 
     The start subset is F; a subset accepts when it contains the original
     initial state.  Returns the subset DFA together with the subset of
-    original states behind each new state.
+    original states behind each new state.  ``steps`` is ``reverse_steps(d)``
+    when the caller has built it already.
     """
     if d.n > SUBSET_LIMIT:
         raise ValueError(f"subset construction is limited to {SUBSET_LIMIT} states")
     start = sum(1 << q for q in d.finals)
-    steps = reverse_steps(d)
+    if steps is None:
+        steps = reverse_steps(d)
     order, rows = _explore(start, lambda mask: [step(mask) for step in steps])
     delta = tuple(map(Transformation, zip(*rows)))
     finals = frozenset(i for i, mask in enumerate(order) if mask >> d.initial & 1)
@@ -208,16 +210,16 @@ def _reachable_states(d: Dfa) -> list[int]:
     return _explore(d.initial, list(zip(*images)).__getitem__)[0]
 
 
-def _refine(d: Dfa, states) -> list[int]:
+def _refine(n: int, images, finals, states) -> list[int]:
     """Moore partition refinement over the given states; returns class ids.
 
-    ``states`` must be closed under the letters.  The result is indexed by
-    state (entries outside ``states`` are meaningless); ids number the
-    classes in order of first appearance in ``states``.  Each round refines
-    the last, so the partition is stable once the class count stops growing.
+    ``images`` holds one image column per letter over the n states;
+    ``states`` must be closed under them.  The result is indexed by state
+    (entries outside ``states`` are meaningless); ids number the classes in
+    order of first appearance in ``states``.  Each round refines the last, so
+    the partition is stable once the class count stops growing.
     """
-    images = [t.images for t in d.delta]
-    block = [1 if q in d.finals else 0 for q in range(d.n)]
+    block = [1 if q in finals else 0 for q in range(n)]
     count = len({block[q] for q in states})
     while True:
         signatures = list(zip(block, *[[block[p] for p in img] for img in images]))
@@ -235,7 +237,7 @@ def is_minimal(d: Dfa) -> MinimalityReport:
     missing = [q for q in range(d.n) if q not in reachable]
     if missing:
         return MinimalityReport(False, unreachable=missing[0])
-    block = _refine(d, range(d.n))
+    block = _refine(d.n, [t.images for t in d.delta], d.finals, range(d.n))
     by_class: dict[int, list[int]] = {}
     for q in range(d.n):
         by_class.setdefault(block[q], []).append(q)
@@ -245,27 +247,33 @@ def is_minimal(d: Dfa) -> MinimalityReport:
     return MinimalityReport(True)
 
 
+def _quotient(n: int, images, finals, states, alphabet) -> Dfa:
+    """The DFA of the classes of ``states``, numbered by first appearance.
+
+    ``states`` are the reachable states in BFS order from the initial state
+    (so that state's class is 0), with ``images`` and ``finals`` as in
+    ``_refine``.  Only a class's first state can reach a new class
+    (equivalent states have equivalent successors), so the numbering is the
+    BFS order of the quotient: a canonical output.
+    """
+    block = _refine(n, images, finals, states)
+    reps: list[int] = []
+    for q in states:
+        if block[q] == len(reps):
+            reps.append(q)
+    delta = tuple(Transformation(tuple(block[img[rep]] for rep in reps)) for img in images)
+    return Dfa(n=len(reps), alphabet=alphabet, delta=delta, initial=0,
+               finals=frozenset(i for i, rep in enumerate(reps) if rep in finals))
+
+
 def minimize(d: Dfa) -> Dfa:
     """The minimal DFA of the same language; its size is the quotient complexity.
 
-    Restrict to reachable states and refine.  Class ids number the classes by
-    first appearance along the BFS-ordered reachable states; only a class's
-    first state can reach a new class (equivalent states have equivalent
-    successors), so that is the BFS order of the quotient: a canonical output.
+    Restrict to the BFS-ordered reachable states and refine; classes are
+    numbered by first appearance along that order.
     """
-    reachable = _reachable_states(d)
-    block = _refine(d, reachable)
-    reps: list[int] = []
-    for q in reachable:
-        if block[q] == len(reps):
-            reps.append(q)
-    delta = tuple(
-        Transformation(tuple(block[t.images[rep]] for rep in reps))
-        for t in d.delta
-    )
-    finals = frozenset(i for i, rep in enumerate(reps) if rep in d.finals)
-    return Dfa(n=len(reps), alphabet=d.alphabet, delta=delta,
-               initial=0, finals=finals)
+    return _quotient(d.n, [t.images for t in d.delta], d.finals, _reachable_states(d),
+                     d.alphabet)
 
 
 def product_dfa(k_dfa: Dfa, l_dfa: Dfa) -> Dfa:
@@ -297,12 +305,11 @@ def product_dfa(k_dfa: Dfa, l_dfa: Dfa) -> Dfa:
         return [step(l_mask) | k_enter[k] for k_enter, step in moves]
 
     order, rows = _explore(enter[k_dfa.initial], successors)
-    delta = tuple(map(Transformation, zip(*rows)))
     l_final_mask = sum(1 << (q + b) for q in l_dfa.finals)
-    finals = frozenset(i for i, state in enumerate(order) if state & l_final_mask)
-    raw = Dfa(n=len(order), alphabet=k_dfa.alphabet, delta=delta,
-              initial=0, finals=finals)
-    return minimize(raw)
+    finals = {i for i, state in enumerate(order) if state & l_final_mask}
+    # the explored states are numbered in BFS order from 0 and all reachable
+    return _quotient(len(order), list(zip(*rows)), finals, range(len(order)),
+                     k_dfa.alphabet)
 
 
 def extend_alphabet(d: Dfa, alphabet: tuple[str, ...]) -> Dfa:

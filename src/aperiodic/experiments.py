@@ -90,11 +90,14 @@ def check_complement_identity(d: Dfa, rng: SplitMix64, words: int = 100) -> bool
     A reversal step is a preimage map, and preimages commute with complement
     on every complete DFA: a self-check of the subset steps that always holds.
     """
+    return _complement_identity(d, reverse_steps(d), rng, words)
+
+
+def _complement_identity(d: Dfa, steps: list, rng: SplitMix64, words: int) -> bool:
     full = (1 << d.n) - 1
     f_mask = 0
     for q in d.finals:
         f_mask |= 1 << q
-    steps = reverse_steps(d)
     for _ in range(words):
         length = rng.below(2 * d.n + 1)
         word = [rng.below(len(d.alphabet)) for _ in range(length)]
@@ -109,7 +112,8 @@ def check_complement_identity(d: Dfa, rng: SplitMix64, words: int = 100) -> bool
 
 
 def reversal_record(d: Dfa, rng: SplitMix64, words: int = 100) -> ReversalRecord:
-    subset_dfa, subsets = reverse_determinize(d)
+    steps = reverse_steps(d)  # built once for the subset DFA and the complement check
+    subset_dfa, subsets = reverse_determinize(d, steps=steps)
     complexity = minimize(subset_dfa).n
     bound = 2**d.n - 1
     complement = frozenset(range(d.n)) - d.finals
@@ -121,7 +125,7 @@ def reversal_record(d: Dfa, rng: SplitMix64, words: int = 100) -> ReversalRecord
         complexity=complexity,
         bound=bound,
         within_bound=complexity <= bound,
-        complement_identity=check_complement_identity(d, rng, words),
+        complement_identity=_complement_identity(d, steps, rng, words),
         complement_unreached=unreached,
     )
 

@@ -1,6 +1,7 @@
 """Bounded exhaustive search for maximal aperiodic semigroups."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -10,9 +11,11 @@ from aperiodic.search import max_aperiodic, verify_maximal_known
 from aperiodic.semigroups import (
     aperiodic_transformations,
     closure,
+    extend_closure,
     is_aperiodic,
     is_transition_complete,
 )
+from aperiodic.transforms import Transformation, has_cycle_images, translation_table
 
 from reference_tables import APERIODIC_KNOWN
 
@@ -45,6 +48,8 @@ def test_search_without_seed_still_finds_max():
      "ee233de54af07c322af7de4276c00343ffe51240e599944db9bc596b2ae58a5e"),
     (5, 3_000_000, 208, 3_000_018, 136,
      "4335309431c6073a8fec69d4e7f18b509ecf899462745a3eb8c2567404531c6f"),
+    (6, 200_000, 452, 200_859, 417,
+     "4fb34572dc03cbbd2737dea123a90af49cfd2741a5a7510693b8932e3d5031c4"),
 ])
 def test_bounded_unseeded_search_pinned(n, max_products, size, products, count, digest):
     # the budget cuts the DFS mid-tree: these pin its order and product accounting
@@ -55,6 +60,49 @@ def test_bounded_unseeded_search_pinned(n, max_products, size, products, count, 
     text = " ".join(str(g) for g in result.generators)
     assert len(result.generators) == count
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_killer_skip_is_exact():
+    # the search skips c when some u in its base makes u * c cyclic; on a
+    # cycle-free base that is exactly a rejection at the first level
+    rng = random.Random(10)
+    candidates = aperiodic_transformations(4)
+    cycle_free = frozenset(candidates).issuperset
+    outcomes = set()
+    bases = 0
+    while bases < 25:
+        gens = rng.sample(candidates, rng.randint(1, 4))
+        s = closure(Transformation(tuple(g)) for g in gens)
+        if not is_aperiodic(s):
+            continue
+        bases += 1
+        base = set(s.element_arrays())
+        tables = [translation_table(g) for g in gens]
+        for c in candidates:
+            if c in base:
+                continue
+            products = {u.translate(translation_table(c)) for u in base}
+            killed = any(map(has_cycle_images, products))
+            if killed:
+                assert extend_closure(base, tables, c, cycle_free) is None
+            else:  # the first level (base * c + {c}) - base passes
+                assert cycle_free(products - base | {c})
+            outcomes.add(killed)
+    assert outcomes == {True, False}
+
+
+def test_killers_spare_extend_closure(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return extend_closure(*args)
+
+    monkeypatch.setattr(search, "extend_closure", counting)
+    result = max_aperiodic(4, max_products=2_000_000, seed_with_family=False)
+    assert result.products_used == 2_000_002
+    # 43,834 calls without the killers; 1,410 with them
+    assert len(calls) <= 1500
 
 
 def test_n4_budgeted_run_certifies_47():
