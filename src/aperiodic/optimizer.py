@@ -11,9 +11,9 @@ the tables and tie-breaking are those of the unscreened loops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, repeat
 from math import comb, exp, expm1, inf, log, log1p, sqrt
-from operator import add
+from operator import add, le
 from typing import NamedTuple
 
 from .combinatorics import bipath_k_partial
@@ -128,14 +128,21 @@ class SctiDpTable:
     C = (s-r)(k+1)^(s-r)((k+1)^r - k^r).  The logs a = log A come from float
     logs of the table, kept by anti-diagonal k' + s' so that the a terms of
     one (s, k) are one contiguous slice; c = log C is exact up to rounding.
-    Every A, C(2s-1,s) and k^s is attained (the last two lower-bound the
-    leaf), and so is A + C, whose log is max(a,c) + log1p(exp(-|a-c|)) up to
-    rounding.  The largest of these logs is a level the maximum reaches; a
-    split is evaluated exactly only when its log-sum reaches the cutoff
-    below the level, the leaf only when its bipath log bound does.  Before the
-    log-sum, a vectorized pass drops every split whose a is too small even
-    with C at its largest over all splits.  stats counts the candidates
-    (leaf and splits of every (s, k)) and the exact evaluations among them.
+    C(2s-1,s) and k^s lower-bound the leaf, and every split's A + C is
+    attained, its log-sum max(a,c) + log1p(exp(-|a-c|)) exact up to rounding.
+    Each (s, k) carries a level from the leaf's two bounds and the log-sums
+    of three guessed splits: this column's last winner r, r + 1, and the
+    winner at (s, k + 1).  One C-level pass drops every split whose a is too
+    small to reach the cutoff below that level even with C at its largest
+    over all splits; the survivors' log-sums then raise the level to their
+    largest.  A split is evaluated exactly only when its log-sum reaches the
+    cutoff below this final level, the leaf only when its bipath log bound
+    does.  A dropped split lies below the first cutoff, so the final level
+    is the largest of the leaf bounds and of all log-sums whatever the
+    guesses were; they only make the pass drop more, and the exact
+    evaluations, tables and stats do not depend on them.  stats counts the
+    candidates (leaf and splits of every (s, k)) and the exact evaluations
+    among them.
     """
 
     n: int
@@ -152,6 +159,7 @@ class SctiDpTable:
         diagonal = [[0.0] * (d + 1) for d in range(n + 1)]  # [k'+s'][k']
         values: list[tuple[int, ...]] = [()] * (n + 1)
         split: list[tuple[int, ...]] = [()] * (n + 1)
+        prev_scol: tuple[int, ...] = ()
         considered = exact = 0
         for k in range(n - 1, -1, -1):
             s_max = n - k
@@ -164,25 +172,39 @@ class SctiDpTable:
             lcol = [0.0] * (s_max + 1)
             scol = [0] * (s_max + 1)
             shrink = -log1p(1 / k) if k else -inf  # log(k / (k+1))
+            # lq[r] = log(1 - (k/(k+1))^r)
+            lq = [-inf] + [log(-expm1(r * shrink)) for r in range(1, s_max)]
             for s in range(1, s_max + 1):
                 considered += s
-                # a[r - 1] = log values[r + k][s - r] + log values[k][r]
-                a = list(map(add, diagonal[s + k][k + 1:k + s], lcol[1:s]))
-                level = max(max(a, default=-inf), logc[s], s * log_k[k])
+                diag = diagonal[s + k]  # diag[k + r] = log values[r + k][s - r]
+                c_top = s * log1[k]
+                # attained level: the leaf's lower bounds and the log-sums of
+                # this column's last winner, the split after it and the winner
+                # at k + 1
+                level = max(logc[s], s * log_k[k])
+                last = scol[s - 1]
+                for g in (last, last + 1, prev_scol[s] if s < len(prev_scol) else 0):
+                    if 0 < g < s:
+                        ag = diag[k + g] + lcol[g]
+                        cg = log_k[s - g] + c_top + lq[g]
+                        level = max(level, max(ag, cg) + log1p(exp(-abs(ag - cg))))
                 cut = _cutoff(level)
                 # C = (s-r)(k+1)^s (1 - (k/(k+1))^r) <= (k+1)^s min(s-1, s^2/(4k+4))
                 # =: e^c_max for every r, as 1 - q^r <= r(1-q); so a < floor
                 # gives log(A + C) <= log(e^a + e^c_max) < cut
-                c_top = s * log1[k]
                 c_max = c_top + log(min(s - 1, s * s / (4 * k + 4))) if s > 1 else -inf
                 floor = cut + log(-expm1(c_max - cut)) if c_max < cut else -inf
+                top = level
                 bounds = []
-                for r in compress(range(1, s), map(floor.__le__, a)):
-                    ar = a[r - 1]
-                    cr = log(s - r) + c_top + log(-expm1(r * shrink))
-                    bounds.append((r, max(ar, cr) + log1p(exp(-abs(ar - cr)))))
-                if bounds:
-                    cut = _cutoff(max(level, max(bound for _, bound in bounds)))
+                for r in compress(range(1, s), map(le, repeat(floor),
+                                                   map(add, diag[k + 1:k + s], lcol[1:s]))):
+                    ar = diag[k + r] + lcol[r]
+                    cr = log_k[s - r] + c_top + lq[r]
+                    bound = max(ar, cr) + log1p(exp(-abs(ar - cr)))
+                    bounds.append((r, bound))
+                    if bound > top:
+                        top = bound
+                cut = _cutoff(top)
                 best = None
                 if min(logc[s] + s * log1[k], s * steep[k]) >= cut:
                     exact += 1
@@ -204,7 +226,7 @@ class SctiDpTable:
                 lcol[s] = diagonal[s + k][k] = log(best)
                 scol[s] = best_r
             values[k] = tuple(vcol)
-            split[k] = tuple(scol)
+            split[k] = prev_scol = tuple(scol)
         return cls(n, tuple(values), tuple(split), DpStats(considered, exact))
 
     def value(self, s: int, k: int = 0) -> int:

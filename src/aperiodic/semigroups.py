@@ -138,12 +138,27 @@ def is_aperiodic(s: Semigroup) -> bool:
 
 
 def aperiodic_transformations(n: int) -> list[bytes]:
-    """All cycle-free image arrays on n states, lexicographically sorted."""
-    return [
-        bytes(images)
-        for images in product(range(n), repeat=n)
-        if not has_cycle_images(images)
-    ]
+    """All cycle-free image arrays on n states, lexicographically sorted.
+
+    Grown state by state, each prefix extended by images[q] = 0..n-1 in
+    order: p != q is kept unless the walk from p through the states already
+    assigned (all < q) reaches q; a walk that stops at a fixed point or an
+    unassigned state is fine.  A cycle is closed by its largest state, so
+    this drops exactly the arrays with a cycle, (n+1)^(n-1) of n^n kept.
+    """
+    arrays = [b""]
+    tails = [bytes((p,)) for p in range(n)]
+    for q in range(n):
+        grown = []
+        for prefix in arrays:
+            for p in range(n):
+                r = p
+                while r < q and prefix[r] != r:
+                    r = prefix[r]
+                if r != q or p == q:
+                    grown.append(prefix + tails[p])
+        arrays = grown
+    return arrays
 
 
 def _cycle_free_level(level) -> bool:

@@ -61,3 +61,8 @@ STRUCTURE_COUNTS = [_, 1, 2, 5, 15, 51, 188, 731, 2950, 12235, 51822, 223191, 97
 # unscreened DPs; the screened tables must reproduce them bit for bit
 UI_1000_TABLE_SHA256 = "505a70dfc0801f9f2ca48b163c723201fd3ca8523b89168f2dd597e95f522192"
 SCTI_500_TABLE_SHA256 = "0ee85b759e5a8633c86c07a2b569008cbc72f665d8b4ffb9e31b5a720bfcbbd8"
+
+# sha256 of repr([tuple(T.compute(n).stats) for n in range(1, 61)]) for the
+# two DPs: which candidates the screens evaluate exactly, not only the tables
+UI_STATS_1_60_SHA256 = "c86a4dfcfaf6f35bd6a12721378fd9ed4b243af287e1aaea92fe0491565a87bf"
+SCTI_STATS_1_60_SHA256 = "f688e973181afb87fa89d596ac0c4408bb1a690e2ab581d2e308ebb677f6643a"

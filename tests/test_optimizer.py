@@ -1,5 +1,7 @@
 """Maximization DPs against the brute-force oracle and known values."""
 
+import hashlib
+
 import pytest
 
 from aperiodic.combinatorics import (
@@ -12,6 +14,7 @@ from aperiodic.combinatorics import (
 )
 from aperiodic.families import Distribution, leaf, parse_structure
 from aperiodic.optimizer import (
+    DpStats,
     SctiDpTable,
     UiDpTable,
     max_sctree,
@@ -20,7 +23,14 @@ from aperiodic.optimizer import (
 
 import dp_oracle
 from dp_oracle import exhaustive_max
-from reference_tables import COMP_UNITARY, SC_TREE, SCTI_WITNESS_100, UI_WITNESS_100
+from reference_tables import (
+    COMP_UNITARY,
+    SC_TREE,
+    SCTI_STATS_1_60_SHA256,
+    SCTI_WITNESS_100,
+    UI_STATS_1_60_SHA256,
+    UI_WITNESS_100,
+)
 
 
 def test_max_unitary_small():
@@ -85,10 +95,21 @@ def test_screened_tables_match_unscreened(n):
 def test_screening_stats():
     ui = UiDpTable.compute(300)
     assert ui.stats.considered == 300 * 301 // 2
-    assert 300 <= ui.stats.exact < ui.stats.considered // 2
+    assert ui.stats == DpStats(45150, 15785)
     scti = SctiDpTable.compute(200)
     assert scti.stats.considered == sum(s * (201 - s) for s in range(1, 201))
-    assert 200 * 201 // 2 <= scti.stats.exact < scti.stats.considered // 10
+    assert scti.stats == DpStats(1353400, 44844)
+
+
+@pytest.mark.parametrize("table, digest", [
+    (UiDpTable, UI_STATS_1_60_SHA256),
+    (SctiDpTable, SCTI_STATS_1_60_SHA256),
+])
+def test_screening_decisions_pinned(table, digest):
+    # the unscreened oracle compares tables only; this pins which candidates
+    # were evaluated exactly at every n up to 60
+    stats = repr([tuple(table.compute(n).stats) for n in range(1, 61)])
+    assert hashlib.sha256(stats.encode()).hexdigest() == digest
 
 
 def test_dp_matches_exhaustive():

@@ -123,6 +123,15 @@ def _transformation(images: bytes) -> Transformation:
     return Transformation(tuple(images))
 
 
+def test_aperiodic_transformations_match_filter():
+    for n in range(7):
+        assert aperiodic_transformations(n) == [
+            bytes(images) for images in iproduct(range(n), repeat=n)
+            if not has_cycle_images(images)
+        ]
+    assert len(aperiodic_transformations(7)) == 8 ** 6 == 262_144
+
+
 def test_extend_closure_matches_full_closures():
     rng = random.Random(3)
     outcomes = set()
