@@ -165,7 +165,8 @@ def max_aperiodic(
     # candidates are all the cycle-free arrays of length n
     candidate_set = frozenset(candidates)
     cycle_free, is_cycle_free = candidate_set.issuperset, candidate_set.__contains__
-    tables = [translation_table(c) for c in candidates]
+    # candidate index -> its translation table, built at its first killer scan
+    tables: dict[int, bytes] = {}
     # candidate index -> the base element u that last made u * candidate cyclic
     killers: dict[int, bytes] = {}
 
@@ -228,8 +229,11 @@ def max_aperiodic(
                 return False
             if killers.get(idx) in base:
                 continue
+            table = tables.get(idx)
+            if table is None:
+                table = tables[idx] = translation_table(cand)
             killer = next(compress(base, map(not_, map(is_cycle_free, map(
-                bytes.translate, base, repeat(tables[idx]))))), None)
+                bytes.translate, base, repeat(table))))), None)
             if killer is not None:
                 killers[idx] = killer
                 continue
@@ -239,7 +243,7 @@ def max_aperiodic(
             budget.spend(len(new) * (len(gen_tables) + 1))
             base.update(new)
             gen_bytes.append(cand)
-            gen_tables.append(tables[idx])
+            gen_tables.append(table)
             record(len(base), gen_bytes, base)
             ok = extend(base, gen_bytes, gen_tables, idx)
             gen_tables.pop()
@@ -262,7 +266,7 @@ def max_aperiodic(
         gen_bytes = [cand]
         branch_size = 0
         record(len(base), gen_bytes, base)
-        completed = extend(base, gen_bytes, [tables[idx]], idx)
+        completed = extend(base, gen_bytes, [translation_table(cand)], idx)
         if not completed:
             exhaustive = False
             break

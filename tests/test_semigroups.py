@@ -119,6 +119,87 @@ def test_closure_bfs_order_pinned():
         "6d2d64c1c2206ca92e0ff21cfc2ebab138ac88cbed46694cfc1d449735cc2983")
 
 
+def _plain_bfs(gens: list[bytes], room: int | None):
+    """Oracle: every element times every generator, one pair at a time.
+
+    Generators sorted first, first occurrences kept in BFS order; stops at
+    the first new element past ``room``.  Returns the elements, whether it
+    stopped, and the element count at the end of each level.
+    """
+    gens = sorted(set(gens))
+    order, seen, level, ends = list(gens), set(gens), gens, [len(gens)]
+    while level:
+        nxt = []
+        for p in level:
+            for g in gens:
+                q = bytes(g[x] for x in p)
+                if q not in seen:
+                    if len(seen) == room:
+                        return order + nxt, True, ends
+                    seen.add(q)
+                    nxt.append(q)
+        order += nxt
+        level = nxt
+        ends.append(len(order))
+    return order, False, ends
+
+
+def _random_generators(rng: random.Random, n: int) -> list[bytes]:
+    """Identity, constants, semiconstants, random maps and near copies.
+
+    A near copy differs from an earlier generator in one or two states, so
+    the two agree on every image set that avoids those states.
+    """
+    gens = []
+    for _ in range(rng.randint(1, 10)):
+        kind = rng.randrange(5) if gens else rng.randrange(4)
+        if kind == 0:
+            g = bytes(range(n))
+        elif kind == 1:
+            g = bytes([rng.randrange(n)] * n)
+        elif kind == 2:
+            target, moved = rng.randrange(n), rng.sample(range(n), rng.randint(1, n))
+            g = bytes(target if q in moved else q for q in range(n))
+        elif kind == 3:
+            g = bytes(rng.randrange(n) for _ in range(n))
+        else:
+            g = bytearray(rng.choice(gens))
+            for q in rng.sample(range(n), min(n, rng.randint(1, 2))):
+                g[q] = rng.randrange(n)
+            g = bytes(g)
+        gens.append(g)
+    return gens
+
+
+def test_closure_matches_plain_bfs():
+    """The image-set cut keeps every level, cut and membership of the plain BFS."""
+    rng = random.Random(12)
+    cut_mid_level = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        gens = _random_generators(rng, n)
+        cap = None if n <= 4 else 1500
+        full, capped, ends = _plain_bfs(gens, cap)
+        rooms = {ends[0], len(full), len(full) + 1}
+        rooms.update(rng.randint(ends[0], len(full)) for _ in range(3))
+        rooms.update(e + 1 for e in ends[1:-1])  # one element into the next level
+        if not capped:
+            s = closure(map(_transformation, gens))
+            assert s.element_arrays() == tuple(full)
+            assert not s.truncated
+            assert all(x in s for x in full)
+        for room in sorted(rooms):
+            if room > len(full) and capped:
+                continue
+            # a cut run is the prefix of the full BFS that fits
+            s = closure(map(_transformation, gens), element_budget=room * n)
+            assert s.element_arrays() == tuple(full[:room])
+            assert s.truncated == (room < len(full) or capped)
+            assert [x in s for x in full] == [i < room for i in range(len(full))]
+            cut_mid_level += room not in ends and room < len(full)
+    assert cut_mid_level > 100
+
+
 def _transformation(images: bytes) -> Transformation:
     return Transformation(tuple(images))
 
