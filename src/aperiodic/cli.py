@@ -16,10 +16,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 from . import combinatorics as comb
-from .automata import is_minimal, parse_dfa, product_dfa, transition_semigroup
+from .automata import SUBSET_LIMIT, is_minimal, parse_dfa, product_dfa, transition_semigroup
 from .experiments import (
     ProductRecord,
     ReversalRecord,
@@ -276,6 +276,8 @@ def cmd_reversal(args) -> int:
         raise ValueError("choose either --dfa or --random")
     if args.count < 1 or args.words < 1:
         raise ValueError("--count and --words need to be at least 1")
+    if args.n is not None and not 2 <= args.n <= SUBSET_LIMIT:
+        raise ValueError(f"reversal --n needs 2 <= n <= {SUBSET_LIMIT}")
     if args.dfa:
         d = _load_dfa(args.dfa)
         s, aperiodic = _close(d)
@@ -290,7 +292,7 @@ def cmd_reversal(args) -> int:
     rows = []
     failures = []
     for i, rec in enumerate(records):
-        rows.append({"instance": i, **asdict(rec)})
+        rows.append({"instance": i, **vars(rec)})
         if not rec.within_bound:
             failures.append(f"instance {i}: complexity {rec.complexity} > bound {rec.bound}")
         if not rec.complement_identity:
@@ -327,7 +329,7 @@ def cmd_product(args) -> int:
         columns = ("k", "l", "m", "complexity", "bound", "within_bound")
     else:
         records = family_products(ms=(args.m,), final_states=(args.fl,))
-        rows = [asdict(rec) for rec in records]
+        rows = [dict(vars(rec)) for rec in records]
         failures = [f"{rec.family}{rec.spec} x {rec.variant} FL={rec.fl}: "
                     f"complexity {rec.complexity} > bound {rec.bound}"
                     for rec in records if not rec.within_bound]

@@ -59,7 +59,7 @@ def random_aperiodic_dfa(n: int, rng: SplitMix64) -> Dfa:
         letters = []
         for _ in range(k):
             while True:
-                images = bytes(rng.below(n) for _ in range(n))
+                images = bytes(rng.draws(n, n))
                 if not has_cycle_images(images):
                     break
             letters.append(images)
@@ -100,7 +100,7 @@ def _complement_identity(d: Dfa, steps: list, rng: SplitMix64, words: int) -> bo
         f_mask |= 1 << q
     for _ in range(words):
         length = rng.below(2 * d.n + 1)
-        word = [rng.below(len(d.alphabet)) for _ in range(length)]
+        word = rng.draws(len(d.alphabet), length)
         p, cp = f_mask, full ^ f_mask
         for a in word:
             step = steps[a]

@@ -190,6 +190,8 @@ def test_optimize_commands(capsys):
     ("search", "3", "--no-seed", "--max-seconds", "0"),
     ("search", "3", "--no-seed", "--max-seconds", "nan"),
     ("reversal", "--random", "--n", "0"),
+    ("reversal", "--random", "--n", "21"),
+    ("reversal", "--random", "--n", "70"),
     ("reversal", "--random", "--count", "0"),
     ("reversal", "--random", "--count", "-3"),
     ("reversal", "--random", "--n", "3", "--words", "-3"),

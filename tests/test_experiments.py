@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+import rng_oracle as per_draw
 from aperiodic.automata import is_minimal, transition_semigroup
 from aperiodic.experiments import (
     TWO_STATE_VARIANTS,
@@ -12,7 +13,7 @@ from aperiodic.experiments import (
     reversal_experiment,
     two_state_dfa,
 )
-from aperiodic.rng import SplitMix64
+from aperiodic.rng import BLOCK, SplitMix64
 from aperiodic.semigroups import is_aperiodic
 
 
@@ -33,6 +34,31 @@ def test_splitmix_below_bounds():
     assert len(set(draws)) == 10
     with pytest.raises(ValueError):
         rng.below(0)
+
+
+def test_splitmix_bound_above_2_64_is_refused():
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError):
+        rng.below(2**64 + 1)
+    with pytest.raises(ValueError):
+        rng.draws(2**64 + 1, 3)
+    # 2**64 itself keeps every raw output
+    assert rng.below(2**64) == per_draw.SplitMix64(1).next64()
+
+
+def test_splitmix_blocks_match_per_draw_oracle():
+    # small, rejection-heavy (about half of the raw outputs redrawn), a quarter
+    # redrawn, and the whole 64-bit range
+    bounds = (1, 2, 7, 2**20 - 2, 2**63 + 1, 3 * 2**62 + 1, 2**64)
+    # counts that stop short of, end on and cross block boundaries
+    counts = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
+    for seed in (0, 1, -1, 2**64 + 5):
+        ours, oracle = SplitMix64(seed), per_draw.SplitMix64(seed)
+        for bound in bounds:
+            for count in counts:
+                assert ours.draws(bound, count) == [oracle.below(bound) for _ in range(count)]
+                assert ours.next64() == oracle.next64()
+                assert ours.below(bound) == oracle.below(bound)
 
 
 def test_random_aperiodic_dfa():
