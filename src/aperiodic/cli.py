@@ -101,7 +101,7 @@ def _load_dfa(path: str):
 
 def _close(d, budget=None):
     """The DFA's transition semigroup and its aperiodicity, None if truncated."""
-    s = transition_semigroup(d, element_budget=budget or default_budget())
+    s = transition_semigroup(d, element_budget=default_budget() if budget is None else budget)
     return s, None if s.truncated else is_aperiodic(s)
 
 

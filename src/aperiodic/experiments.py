@@ -50,10 +50,11 @@ def random_aperiodic_dfa(n: int, rng: SplitMix64) -> Dfa:
     A draw has 2 or 3 letters, each drawn from the cycle-free
     transformations; it is accepted only when the joint closure stays
     aperiodic, and rejected at the first element with a cycle.  Finals are a
-    non-empty proper subset so the language is non-trivial.
+    non-empty proper subset so the language is non-trivial, drawn as one
+    64-bit output, so n is at most 64.
     """
-    if n < 2:
-        raise ValueError("sampling needs n >= 2")
+    if not 2 <= n <= 64:
+        raise ValueError("sampling needs 2 <= n <= 64")
     for _ in range(SAMPLE_ATTEMPTS):
         k = 2 + rng.below(2)
         letters = []

@@ -11,15 +11,13 @@ best closure; the search ends when the tree is covered or the product or
 time budget runs out.
 
 Most candidates fail at the first level of their closure: some u in the
-base makes u * c cyclic.  Such a u is a witness that stays valid at every
-node whose base still holds it, so the search keeps it as the candidate's
+base makes u * c cyclic.  The search keeps such a u as the candidate's
 "killer" (the killer heuristic of game-tree search) and skips the candidate
-by one set lookup while the killer is in the base; otherwise one scan of
-base * c looks for a new killer, and only a candidate without one reaches
-``extend_closure``.  The skip is exact because every base element is
-cycle-free, so a cyclic u * c is outside the base and in the first level.
-The budget is charged as before, so the DFS order, the product count and
-the witnesses do not depend on the killers.
+by one set lookup while the killer is in the base; otherwise
+``semigroups.first_killer`` scans base * c for a new one, and only a
+candidate without one reaches ``extend_closure``.  The budget is charged
+before the killers are consulted, so the DFS order, the product count and
+the witnesses do not depend on them.
 
 Exhaustive runs are realistic for n <= 3 in milliseconds and for n = 4 in
 hours; beyond the budget the best semigroup found so far is reported with
@@ -29,9 +27,8 @@ hours; beyond the budget the best semigroup found so far is reported with
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from itertools import compress, permutations, repeat
-from operator import not_
+from dataclasses import dataclass
+from itertools import permutations
 
 from .families import build_family
 from .optimizer import max_sctree
@@ -40,6 +37,7 @@ from .semigroups import (
     aperiodic_transformations,
     closure,
     extend_closure,
+    first_killer,
     is_aperiodic,
     is_transition_complete,
 )
@@ -106,9 +104,6 @@ class SearchResult:
     products_used: int
     elapsed: float
     distinct_maxima: int = 1
-    # lines this run produced: the header when it started the checkpoint,
-    # then one per finished branch
-    checkpoint_lines: tuple[str, ...] = field(default=())
 
     def verify(self) -> Semigroup:
         """Re-close the witness and certify size and aperiodicity."""
@@ -191,10 +186,7 @@ def max_aperiodic(
         s = closure(build_family("scti", max_sctree(n)[1]).delta)
         record(len(s), [bytes(g.images) for g in s.generators], s.element_arrays())
 
-    new_lines = []
-
     def append_line(line: str):
-        new_lines.append(line)
         if checkpoint_path:
             with open(checkpoint_path, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
@@ -214,12 +206,10 @@ def max_aperiodic(
     def extend(base: set, gen_bytes: list, gen_tables: list, last: int) -> bool:
         """DFS over candidate indices greater than ``last``; False on budget.
 
-        A candidate c is skipped without ``extend_closure`` when some u in
-        ``base`` makes u * c cyclic: its stored killer if that is still in
-        ``base``, else the first such u of one scan, which becomes its
-        killer.  Exact because every base element is cycle-free (each level
-        passed the containment test): a cyclic u * c lies outside ``base``,
-        in the first level that ``extend_closure`` would reject.
+        A candidate is skipped without ``extend_closure`` when it has a
+        killer in ``base``: its stored one, else a new one from
+        ``first_killer``, which is exact here because every base element
+        passed the containment test.
         """
         for idx in range(last + 1, len(candidates)):
             cand = candidates[idx]
@@ -232,8 +222,7 @@ def max_aperiodic(
             table = tables.get(idx)
             if table is None:
                 table = tables[idx] = translation_table(cand)
-            killer = next(compress(base, map(not_, map(is_cycle_free, map(
-                bytes.translate, base, repeat(table))))), None)
+            killer = first_killer(base, table, is_cycle_free)
             if killer is not None:
                 killers[idx] = killer
                 continue
@@ -281,7 +270,6 @@ def max_aperiodic(
         products_used=budget.products,
         elapsed=time.monotonic() - start,
         distinct_maxima=max(1, len(best_closures)),
-        checkpoint_lines=tuple(new_lines),
     )
 
 

@@ -5,26 +5,27 @@ right-multiplication is a single ``bytes.translate`` call; a 10^6-element
 closure takes seconds.  That caps the state count at 255, far above the desk
 scale everything here runs at.
 
-One level-wise core builds every closure: a level is the previous one
-times every generator, first occurrences kept, so elements come in BFS
-order.  ``closure`` runs it from the sorted generators under an element
-budget, multiplying each element p only by the generators that act on its
-image set Im(p): p * t reads t on Im(p) alone, so a generator that fixes
-Im(p) gives p back and one that agrees there with an earlier generator
-repeats its product, both already seen.  The 126,123-element closure of
-``((3,3),2)`` makes 1,898,572 products instead of 4,288,182, with the same
-elements in the same order; a table of the acting generators is built once
-per image set (198 there).  ``extend_closure`` adds one generator to a
-closed set and stops at the first level holding an element with a cycle;
-the search, transition-completeness and the DFA sampler build on it.  Most
-of its calls fail at the first level, so that level is tested lazily,
-product by product, and built as a set only when it passes.  Its later
-levels hold a few elements and it has 2-4 generators in the sampler, so it
-multiplies by every generator: there an image-set key and a table per new
-image set cost more than the products they save.  The search and
-transition-completeness hold every cycle-free array of length n
-(``aperiodic_transformations``) and test a level by set containment
-instead of one cycle test per element.
+One level generator builds every closure: a level is the products of the
+previous one less every element seen, first occurrences kept, so elements
+come in BFS order.  ``closure`` runs it from the sorted generators, cuts
+the level that would pass its element budget, and multiplies each element
+p only by the generators that act on its image set Im(p): p * t reads t on
+Im(p) alone, so a generator that fixes Im(p) gives p back and one that
+agrees there with an earlier generator repeats its product, both already
+seen.  The 126,123-element closure of ``((3,3),2)`` makes 1,898,572
+products instead of 4,288,182, with the same elements in the same order; a
+table of the acting generators is built once per image set (198 there).
+``extend_closure`` adds one generator t to a closed set, its first level
+being t and base * t less the base, and stops at the first level holding
+an element with a cycle; the search, transition-completeness and the DFA
+sampler build on it.  Its levels hold a few elements and it has 2-4
+generators in the sampler, so it multiplies by every generator: there an
+image-set key and a table per new image set cost more than the products
+they save.  Most candidates of the search and of transition-completeness
+fail at the first level, and ``first_killer`` rejects them before any
+level is built: one scan of base * t for an element with a cycle.  Both
+hold every cycle-free array of length n (``aperiodic_transformations``)
+and test a level by set containment instead of one cycle test per element.
 ``is_aperiodic`` tests a whole closure with the lane-packed power test of
 ``transforms.any_cycle_images``, 256 // n elements per step.
 """
@@ -32,8 +33,8 @@ instead of one cycle test per element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, filterfalse, product, repeat, starmap
-from operator import attrgetter
+from itertools import chain, compress, product, repeat, starmap
+from operator import attrgetter, not_
 
 from .transforms import Transformation, any_cycle_images, has_cycle_images, translation_table
 
@@ -108,44 +109,19 @@ class _ActingTables(dict):
         return acting
 
 
-def _grow(order: list, tables: list, seen: set, room=None, cycle_free=None, acting=None):
-    """Extend ``order`` (the first level) level by level, in BFS order.
+def _levels(level, products, seen: set):
+    """Yield the BFS levels grown from the candidates ``level``.
 
-    Each level is the previous one times every table, keeping first
-    occurrences not yet in ``seen``, which takes them in.  Returns True when
-    a level would take ``seen`` past ``room`` elements: that level is cut to
-    fit and its tail dropped from ``seen``.  Returns None at the first later
-    level that fails ``cycle_free``, else False.  Calls no public name, so a
-    tracer that rebinds ``closure`` and ``extend_closure`` counts each once.
-
-    With ``acting`` (an ``_ActingTables`` over ``tables``) each element p is
-    multiplied only by the tables that act on its image set X.  The product
-    p * t reads t on X alone, so a dropped table gives p itself (t fixes X)
-    or repeats the product of an earlier table of p (same restriction): both
-    are in ``seen`` when their turn comes, and every level, the cut included,
-    is the one the full product would give.  ``closure`` passes it;
-    ``extend_closure`` does not, because its levels of a few elements over
-    2-4 generators pay more for the ``frozenset`` keys and the new image
-    sets than the dropped products cost.
+    A level is its candidates less ``seen``, first occurrences kept, and
+    ``seen`` takes them in; the next level's candidates are ``products`` of
+    the level just yielded.  Stops at the first empty level.  Calls no public
+    name, so a tracer that rebinds ``closure`` and ``extend_closure`` counts
+    each once.
     """
-    level, add = order, seen.add
-    while level:
-        if acting is None:
-            products = starmap(bytes.translate, product(level, tables))
-        else:
-            products = chain.from_iterable(map(
-                map, map(attrgetter("translate"), level),
-                map(acting.__getitem__, map(frozenset, level))))
-        level = [p for p in products if not (p in seen or add(p))]
-        if room is not None and len(seen) > room:
-            keep = len(level) - (len(seen) - room)
-            seen.difference_update(level[keep:])
-            order += level[:keep]
-            return True
-        if cycle_free is not None and not cycle_free(level):
-            return None
-        order += level
-    return False
+    add = seen.add
+    while level := [p for p in level if not (p in seen or add(p))]:
+        yield level
+        level = products(level)
 
 
 def closure(generators, element_budget: int = DEFAULT_ELEMENT_BUDGET) -> Semigroup:
@@ -155,6 +131,9 @@ def closure(generators, element_budget: int = DEFAULT_ELEMENT_BUDGET) -> Semigro
     non-empty word arises by extending a shorter word on the right.  If the
     budget (counted as |S| * n stored images) would be exceeded the partial
     result is returned with ``truncated=True`` rather than silently dropped.
+    Multiplying only by the acting generators (``_ActingTables``) drops
+    products already seen, so every level, the cut one included, is the
+    one the full product would give.
     """
     gens = list(generators)
     if not gens:
@@ -169,9 +148,21 @@ def closure(generators, element_budget: int = DEFAULT_ELEMENT_BUDGET) -> Semigro
     if element_budget < n * len(gen_bytes):
         raise ValueError("element budget too small to hold the generators")
 
-    order, seen = list(gen_bytes), set(gen_bytes)
-    tables = [translation_table(g) for g in gen_bytes]
-    truncated = _grow(order, tables, seen, element_budget // n, acting=_ActingTables(tables))
+    acting = _ActingTables([translation_table(g) for g in gen_bytes])
+
+    def products(level):
+        return chain.from_iterable(map(map, map(attrgetter("translate"), level),
+                                       map(acting.__getitem__, map(frozenset, level))))
+
+    order, seen, room, truncated = [], set(), element_budget // n, False
+    for level in _levels(gen_bytes, products, seen):
+        if len(seen) > room:  # cut the level to fit and drop its tail
+            keep = len(level) - (len(seen) - room)
+            seen.difference_update(level[keep:])
+            order += level[:keep]
+            truncated = True
+            break
+        order += level
     gen_ts = tuple(Transformation(tuple(b)) for b in gen_bytes)
     return Semigroup(n, gen_ts, order, seen, truncated)
 
@@ -222,53 +213,65 @@ def extend_closure(base: set[bytes], gen_tables: list[bytes], t: bytes,
 
     Returns the set of new elements, or None at the first level of them that
     fails ``cycle_free``.  Every new element is a word u t v with u in base
-    or empty, so the first level is base * t plus t itself, minus base;
-    ``_grow`` grows the rest.  ``base`` is not mutated.
+    or empty, so the first level is t and base * t, less base, and each
+    later one the previous level times every generator.  ``base`` is not
+    mutated.
 
-    ``cycle_free`` takes an iterable of image arrays and is true iff every
-    one is cycle-free; it may stop at the first that is not and may see an
-    element twice.  The first level reaches it as a lazy iterator, so a call
-    that fails there (most of the search's) stops at the first product with
-    a cycle and builds no set.  The default runs the cycle test per element;
-    a caller holding the set of all cycle-free arrays of length n passes its
-    ``issuperset``, one hash lookup per element.  The first level is filtered
-    by ``base`` so that the test sees exactly the new elements: ``base`` need
-    not be aperiodic (a closure of cycle-free generators can hold elements
-    with a cycle), and base * t may land on such an element.
+    ``cycle_free`` takes a level, a list of distinct image arrays not in
+    ``base``, and is true iff every one is cycle-free.  The default runs the
+    cycle test per element; a caller holding the set of all cycle-free
+    arrays of length n passes its ``issuperset``, one hash lookup per
+    element.  ``base`` need not be aperiodic (a closure of cycle-free
+    generators can hold elements with a cycle): base * t may land on such an
+    element, and as it is not new the test does not see it.
     """
     t_table = translation_table(t)
-    if not cycle_free(filterfalse(base.__contains__,
-                                  chain((t,), map(bytes.translate, base, repeat(t_table))))):
-        return None
-    level = set(map(bytes.translate, base, repeat(t_table)))
-    level.add(t)
-    level -= base
-    if not level:
-        return level
-    new = list(level)
-    if _grow(new, gen_tables + [t_table], base | level, cycle_free=cycle_free) is None:
-        return None
-    return set(new)
+    tables = gen_tables + [t_table]
+    new = set()
+    for level in _levels(chain((t,), map(bytes.translate, base, repeat(t_table))),
+                         lambda level: starmap(bytes.translate, product(level, tables)),
+                         set(base)):
+        if not cycle_free(level):
+            return None
+        new.update(level)
+    return new
+
+
+def first_killer(base: set[bytes], t_table: bytes, is_cycle_free):
+    """The first u in ``base`` whose product u * t is not cycle-free, or None.
+
+    ``t_table`` is the translation table of t and ``is_cycle_free`` tests one
+    image array.  When every element of ``base`` is cycle-free the scan is
+    exact: a cyclic u * t is then not in ``base``, so it is in the first
+    level of ``extend_closure(base, ..., t)``, which returns None.  With t
+    cycle-free too, None here means that first level passes.  A killer stays
+    one while it is in the base, so a caller may keep it and test it first.
+    """
+    return next(compress(base, map(not_, map(is_cycle_free, map(
+        bytes.translate, base, repeat(t_table))))), None)
 
 
 def is_transition_complete(s: Semigroup) -> bool:
     """True iff adding any transformation outside S breaks aperiodicity.
 
     Tries every cycle-free transformation outside S (a cyclic one breaks
-    aperiodicity by itself); meant for desk scale (n <= 5 or so).
+    aperiodicity by itself); meant for desk scale (n <= 5 or so).  S is
+    aperiodic, so ``first_killer`` rejects exactly the candidates whose first
+    level has a cycle, and ``extend_closure`` decides the rest.
     """
     if s.truncated:
         raise ValueError("completeness of a truncated closure is undecided")
     if not is_aperiodic(s):
         raise ValueError("transition-completeness is defined for aperiodic semigroups")
     candidates = aperiodic_transformations(s.n)
-    cycle_free = frozenset(candidates).issuperset
+    candidate_set = frozenset(candidates)
     base = set(s.element_arrays())
     gen_tables = [translation_table(bytes(g.images)) for g in s.generators]
     for cand in candidates:
-        if cand in base:
+        if cand in base or first_killer(base, translation_table(cand),
+                                        candidate_set.__contains__) is not None:
             continue
-        if extend_closure(base, gen_tables, cand, cycle_free) is not None:
+        if extend_closure(base, gen_tables, cand, candidate_set.issuperset) is not None:
             return False
     return True
 

@@ -151,6 +151,16 @@ def test_closure_budget_env(tmp_path, capsys, monkeypatch):
     assert payload["failures"]
 
 
+def test_closure_budget_zero_exits_2(tmp_path, capsys):
+    dfa_path = tmp_path / "ui21.dfa"
+    run(capsys, "family", "ui", "(2,1)", "--emit-dfa", str(dfa_path))
+    for budget in ("0", "-5", "1"):  # 0 is a budget, not "use the default"
+        code, out, err = run(capsys, "closure", str(dfa_path), "--budget", budget)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 def test_closure_parse_error_cites_line(tmp_path, capsys):
     bad = tmp_path / "bad.dfa"
     bad.write_text("2 1\n0\n1\na: 0\n")  # wrong image count
@@ -197,6 +207,8 @@ def test_optimize_commands(capsys):
     ("reversal", "--random", "--n", "3", "--words", "-3"),
     ("product", "--m", "1", "--fl", "0"),
     ("product", "--m", "8", "--fl", "0"),
+    ("family", "ui", "(2,1)", "--verify", "--budget", "0"),
+    ("family", "ui", "(2,1)", "--verify", "--budget", "-5"),
 ])
 def test_out_of_domain_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

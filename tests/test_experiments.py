@@ -72,6 +72,14 @@ def test_random_aperiodic_dfa():
     assert random_aperiodic_dfa(4, SplitMix64(5)) == random_aperiodic_dfa(4, SplitMix64(5))
 
 
+def test_random_aperiodic_dfa_refuses_n_outside_2_64_before_drawing():
+    rng = SplitMix64(1)
+    for n in (1, 65, 255):
+        with pytest.raises(ValueError, match="2 <= n <= 64"):
+            random_aperiodic_dfa(n, rng)
+    assert rng.next64() == SplitMix64(1).next64()  # the stream is untouched
+
+
 def test_random_aperiodic_dfa_pinned():
     digest = hashlib.sha256()
     for seed in range(1, 21):

@@ -120,32 +120,44 @@ def test_search_result_at_least_scti(tmp_path):
         assert result.size >= max_sctree(n)[0]
 
 
+def _lines(path) -> list[str]:
+    try:
+        return open(path, encoding="utf-8").read().splitlines()
+    except FileNotFoundError:
+        return []
+
+
 def test_checkpoint_resume(tmp_path):
     path = tmp_path / "search.ckpt"
     first = max_aperiodic(3, checkpoint_path=str(path))
     assert first.exhaustive
-    lines = path.read_text().strip().splitlines()
-    assert lines and len(lines) == len(first.checkpoint_lines)
+    written = _lines(path)
+    # the header, then one line per first-generator branch
+    branches = sum(search._orbit_minimal(c, 3) for c in aperiodic_transformations(3))
+    assert written[0].startswith("aperiodic-search n=3 ") and len(written) == 1 + branches
     # a resumed run skips every recorded branch but reports the same maximum
     second = max_aperiodic(3, checkpoint_path=str(path))
     assert second.exhaustive
     assert second.size == first.size
     assert second.products_used < first.products_used
-    assert second.checkpoint_lines == ()
+    assert _lines(path) == written  # and writes nothing
 
 
 def test_checkpoint_resume_unseeded(tmp_path):
     path = str(tmp_path / "search.ckpt")
     cut = max_aperiodic(3, seed_with_family=False, max_products=45_000, checkpoint_path=path)
     assert not cut.exhaustive
-    assert 1 < len(cut.checkpoint_lines)  # the header and at least one branch
+    cut_lines = _lines(path)
+    assert 1 < len(cut_lines)  # the header and at least one branch
     rest = max_aperiodic(3, seed_with_family=False, checkpoint_path=path)
+    rest_lines = _lines(path)
+    assert rest_lines[:len(cut_lines)] == cut_lines and len(rest_lines) > len(cut_lines)
     again = max_aperiodic(3, seed_with_family=False, checkpoint_path=path)
     for result in (rest, again):
         assert result.exhaustive
         assert result.size == APERIODIC_KNOWN[3]
         assert len(result.verify()) == result.size
-    assert again.products_used == 0 and again.checkpoint_lines == ()
+    assert again.products_used == 0 and _lines(path) == rest_lines
 
 
 def test_checkpoint_rejects_foreign_or_false_lines(tmp_path):

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aperiodic import semigroups
 from aperiodic.semigroups import (
     Semigroup,
     aperiodic_transformations,
     closure,
     count_k_partial,
     extend_closure,
+    first_killer,
     is_aperiodic,
     is_transition_complete,
     unitary_generator_check,
@@ -217,7 +219,8 @@ def test_extend_closure_matches_full_closures():
     rng = random.Random(3)
     outcomes = set()
     # the search's level test: containment in the set of all cycle-free arrays
-    cycle_free = {n: frozenset(aperiodic_transformations(n)).issuperset for n in range(1, 6)}
+    all_cycle_free = {n: frozenset(aperiodic_transformations(n)) for n in range(1, 6)}
+    cycle_free = {n: arrays.issuperset for n, arrays in all_cycle_free.items()}
     for _ in range(400):
         n = rng.randint(1, 5)
         gens = []
@@ -232,6 +235,16 @@ def test_extend_closure_matches_full_closures():
         new = extend_closure(base, tables, t)
         assert base == before
         assert extend_closure(base, tables, t, cycle_free[n]) == new
+        if not any(map(has_cycle_images, base)):
+            # the scan is exact on such a base: with t cycle-free, no killer
+            # exactly when the first level, (base * t + {t}) - base, passes
+            t_table = translation_table(t)
+            first_level = {u.translate(t_table) for u in base} | {t}
+            passes = not any(map(has_cycle_images, first_level - base))
+            killer = first_killer(base, t_table, all_cycle_free[n].__contains__)
+            assert killer == next((u for u in base if has_cycle_images(u.translate(t_table))),
+                                  None)
+            assert (killer is None and not has_cycle_images(t)) == passes
         full = closure(map(_transformation, gens + [t]))
         expected = set(full.element_arrays()) - base
         if any(map(has_cycle_images, expected)):
@@ -437,3 +450,39 @@ def test_transition_complete():
         assert is_transition_complete(transition_semigroup(build_family("ui", dist))) == expected
     # a single unitary on 2 states closes to {[1,1]}; adding [0,0] stays aperiodic
     assert not is_transition_complete(closure([unitary(2, 0, 1)]))
+
+
+def test_transition_complete_matches_brute_force():
+    # the oracle closes S with every cycle-free c outside S in full; each S is
+    # a random stretch of a greedy growth, complete when the growth ran out
+    rng = random.Random(14)
+    outcomes = set()
+    for n in (2, 3, 4):
+        candidates = [t(*c) for c in aperiodic_transformations(n)]
+        for _ in range(12):
+            gens, stop = [], rng.randint(1, 8)
+            for c in rng.sample(candidates, len(candidates)):
+                if is_aperiodic(closure(gens + [c])):
+                    gens.append(c)
+                    if len(gens) == stop:
+                        break
+            s = closure(gens)
+            expected = all(not is_aperiodic(closure(gens + [c])) for c in candidates if c not in s)
+            assert is_transition_complete(s) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_transition_complete_leaves_scan_passes_to_extend_closure(monkeypatch):
+    # the first-level scan only rejects; a candidate it passes is decided by
+    # its full closure, here one that claims a cycle at a later level
+    calls = []
+
+    def rejecting(base, gen_tables, cand, cycle_free):
+        calls.append(cand)
+        return None
+
+    monkeypatch.setattr(semigroups, "extend_closure", rejecting)
+    # {[1,1]}: [1,1] * [0,0] and [1,1] * [0,1] are both cycle-free
+    assert is_transition_complete(closure([unitary(2, 0, 1)]))
+    assert calls == [bytes([0, 0]), bytes([0, 1])]
