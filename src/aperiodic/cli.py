@@ -31,7 +31,7 @@ from .experiments import (
 from .families import build_family, parse_distribution, parse_structure
 from .optimizer import SctiDpTable, UiDpTable
 from .rng import SplitMix64
-from .search import max_aperiodic
+from .search import DEFAULT_MAX_PRODUCTS, DEFAULT_MAX_SECONDS, max_aperiodic
 from .semigroups import DEFAULT_ELEMENT_BUDGET, is_aperiodic
 
 # formula class -> (smallest n it is defined for, exact size function)
@@ -387,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="budgeted depth-first search for the aperiodic maximum")
     p.add_argument("n", type=int)
-    p.add_argument("--max-products", type=int, default=1_000_000_000)
-    p.add_argument("--max-seconds", type=float, default=3600.0)
+    p.add_argument("--max-products", type=int, default=DEFAULT_MAX_PRODUCTS)
+    p.add_argument("--max-seconds", type=float, default=DEFAULT_MAX_SECONDS)
     p.add_argument("--checkpoint", help="resume file (a header, then one explored branch "
                                         "per line with its best size and witness)")
     p.add_argument("--no-seed", action="store_true",

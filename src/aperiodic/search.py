@@ -10,14 +10,11 @@ orbit representative as its minimum.  No branch is pruned by a bound on its
 best closure; the search ends when the tree is covered or the product or
 time budget runs out.
 
-Most candidates fail at the first level of their closure: some u in the
-base makes u * c cyclic.  The search keeps such a u as the candidate's
-"killer" (the killer heuristic of game-tree search) and skips the candidate
-by one set lookup while the killer is in the base; otherwise
-``semigroups.first_killer`` scans base * c for a new one, and only a
-candidate without one reaches ``extend_closure``.  The budget is charged
-before the killers are consulted, so the DFS order, the product count and
-the witnesses do not depend on them.
+Each candidate is tried by ``semigroups.CycleFreeCandidates.extension``,
+which rejects most of them by a remembered first-level "killer" (the killer
+heuristic of game-tree search).  The budget is charged before that call, so
+the DFS order, the product count and the witnesses do not depend on the
+killers.
 
 Exhaustive runs are realistic for n <= 3 in milliseconds and for n = 4 in
 hours; beyond the budget the best semigroup found so far is reported with
@@ -30,14 +27,13 @@ import time
 from dataclasses import dataclass
 from itertools import permutations
 
+from .combinatorics import nearly_monotonic_size
 from .families import build_family
 from .optimizer import max_sctree
 from .semigroups import (
+    CycleFreeCandidates,
     Semigroup,
-    aperiodic_transformations,
     closure,
-    extend_closure,
-    first_killer,
     is_aperiodic,
     is_transition_complete,
 )
@@ -45,8 +41,8 @@ from .transforms import Transformation, translation_table
 
 DEFAULT_MAX_PRODUCTS = 1_000_000_000
 DEFAULT_MAX_SECONDS = 3600.0
-# the candidate list and its tables are built before the budget applies:
-# 262,144 arrays at n = 7, 4,782,969 (over 1.2 GB of tables) at n = 8
+# the candidate list and its set are built before the budget applies:
+# 262,144 arrays at n = 7, 4,782,969 at n = 8
 MAX_SEARCH_N = 7
 
 
@@ -113,20 +109,6 @@ class SearchResult:
         return s
 
 
-class _Budget:
-    def __init__(self, max_products: int, max_seconds: float):
-        self.max_products = max_products
-        self.deadline = time.monotonic() + max_seconds
-        self.products = 0
-        self.exhausted = False
-
-    def spend(self, amount: int) -> bool:
-        self.products += amount
-        if self.products > self.max_products or time.monotonic() > self.deadline:
-            self.exhausted = True
-        return not self.exhausted
-
-
 def max_aperiodic(
     n: int,
     max_products: int = DEFAULT_MAX_PRODUCTS,
@@ -154,16 +136,17 @@ def max_aperiodic(
     if not max_seconds > 0:
         raise ValueError("search needs max_seconds > 0")
     start = time.monotonic()
-    budget = _Budget(max_products, max_seconds)
-    candidates = aperiodic_transformations(n)
-    # every element of a new level must be a candidate: exact, since the
-    # candidates are all the cycle-free arrays of length n
-    candidate_set = frozenset(candidates)
-    cycle_free, is_cycle_free = candidate_set.issuperset, candidate_set.__contains__
-    # candidate index -> its translation table, built at its first killer scan
-    tables: dict[int, bytes] = {}
-    # candidate index -> the base element u that last made u * candidate cyclic
-    killers: dict[int, bytes] = {}
+    deadline = start + max_seconds
+    products = 0
+
+    def spend(amount: int) -> bool:
+        """Charge ``amount`` products; False once either budget is spent."""
+        nonlocal products
+        products += amount
+        return products <= max_products and time.monotonic() <= deadline
+
+    candidates = CycleFreeCandidates(n)
+    arrays = candidates.arrays
 
     best_size = 0
     best_gens: tuple[Transformation, ...] = ()
@@ -194,7 +177,7 @@ def max_aperiodic(
     done_prefixes = set()
     if checkpoint_path:
         header = (f"aperiodic-search n={n} seeded={int(seed_with_family)} "
-                  f"candidates={len(candidates)}")
+                  f"candidates={len(arrays)}")
         stored = _read_checkpoint(checkpoint_path, header, n)
         if stored is None:
             append_line(header)
@@ -204,35 +187,20 @@ def max_aperiodic(
                 done_prefixes.add(prefix)
 
     def extend(base: set, gen_bytes: list, gen_tables: list, last: int) -> bool:
-        """DFS over candidate indices greater than ``last``; False on budget.
-
-        A candidate is skipped without ``extend_closure`` when it has a
-        killer in ``base``: its stored one, else a new one from
-        ``first_killer``, which is exact here because every base element
-        passed the containment test.
-        """
-        for idx in range(last + 1, len(candidates)):
-            cand = candidates[idx]
+        """DFS over candidate indices greater than ``last``; False on budget."""
+        for idx in range(last + 1, len(arrays)):
+            cand = arrays[idx]
             if cand in base:
                 continue
-            if not budget.spend(len(base)):
+            if not spend(len(base)):
                 return False
-            if killers.get(idx) in base:
-                continue
-            table = tables.get(idx)
-            if table is None:
-                table = tables[idx] = translation_table(cand)
-            killer = first_killer(base, table, is_cycle_free)
-            if killer is not None:
-                killers[idx] = killer
-                continue
-            new = extend_closure(base, gen_tables, cand, cycle_free)
+            new = candidates.extension(base, gen_tables, idx)
             if new is None:
                 continue
-            budget.spend(len(new) * (len(gen_tables) + 1))
+            spend(len(new) * (len(gen_tables) + 1))
             base.update(new)
             gen_bytes.append(cand)
-            gen_tables.append(table)
+            gen_tables.append(translation_table(cand))
             record(len(base), gen_bytes, base)
             ok = extend(base, gen_bytes, gen_tables, idx)
             gen_tables.pop()
@@ -243,7 +211,7 @@ def max_aperiodic(
         return True
 
     exhaustive = True
-    for idx, cand in enumerate(candidates):
+    for idx, cand in enumerate(arrays):
         if not _orbit_minimal(cand, n):
             continue
         prefix = str(Transformation(tuple(cand)))
@@ -251,7 +219,7 @@ def max_aperiodic(
             continue
         base: set = set()
         # powers of a cycle-free map stay cycle-free
-        base.update(extend_closure(base, [], cand, cycle_free))
+        base.update(candidates.extension(base, [], idx))
         gen_bytes = [cand]
         branch_size = 0
         record(len(base), gen_bytes, base)
@@ -267,7 +235,7 @@ def max_aperiodic(
         size=best_size,
         generators=best_gens,
         exhaustive=exhaustive,
-        products_used=budget.products,
+        products_used=products,
         elapsed=time.monotonic() - start,
         distinct_maxima=max(1, len(best_closures)),
     )
@@ -303,17 +271,12 @@ def verify_maximal_known(n: int, max_products: int = 5_000_000,
     certified = len(s) == value and is_aperiodic(s) and is_transition_complete(s)
     result = max_aperiodic(n, max_products=max_products, max_seconds=max_seconds,
                            seed_with_family=False)
-    nm_top = None
-    if n >= 2:
-        from .combinatorics import nearly_monotonic_size
-
-        nm_top = nearly_monotonic_size(n)
     return MaximalityReport(
         n=n,
         search_size=result.size,
         search_exhaustive=result.exhaustive,
         sctree_size=value,
         sctree_certified=certified,
-        nearly_monotonic_top=nm_top,
+        nearly_monotonic_top=nearly_monotonic_size(n) if n >= 2 else None,
         consistent=result.size == value and certified,
     )

@@ -21,11 +21,12 @@ an element with a cycle; the search, transition-completeness and the DFA
 sampler build on it.  Its levels hold a few elements and it has 2-4
 generators in the sampler, so it multiplies by every generator: there an
 image-set key and a table per new image set cost more than the products
-they save.  Most candidates of the search and of transition-completeness
-fail at the first level, and ``first_killer`` rejects them before any
-level is built: one scan of base * t for an element with a cycle.  Both
-hold every cycle-free array of length n (``aperiodic_transformations``)
-and test a level by set containment instead of one cycle test per element.
+they save.  The search and transition-completeness ask one question, does
+cycle-free c extend an aperiodic base, of one ``CycleFreeCandidates``
+object: it holds every cycle-free array of length n, rejects most c before
+any level is built, by a remembered or newly scanned u in the base with
+u * c cyclic, and tests the levels of the rest by set containment instead
+of one cycle test per element.
 ``is_aperiodic`` tests a whole closure with the lane-packed power test of
 ``transforms.any_cycle_images``, 256 // n elements per step.
 """
@@ -237,43 +238,60 @@ def extend_closure(base: set[bytes], gen_tables: list[bytes], t: bytes,
     return new
 
 
-def first_killer(base: set[bytes], t_table: bytes, is_cycle_free):
-    """The first u in ``base`` whose product u * t is not cycle-free, or None.
+class CycleFreeCandidates:
+    """The cycle-free arrays of length n, each a candidate to extend a base.
 
-    ``t_table`` is the translation table of t and ``is_cycle_free`` tests one
-    image array.  When every element of ``base`` is cycle-free the scan is
-    exact: a cyclic u * t is then not in ``base``, so it is in the first
-    level of ``extend_closure(base, ..., t)``, which returns None.  With t
-    cycle-free too, None here means that first level passes.  A killer stays
-    one while it is in the base, so a caller may keep it and test it first.
+    ``arrays`` lists them in lexicographic order (``aperiodic_transformations``)
+    and ``extension(base, gen_tables, i)`` adds ``arrays[i]`` to an aperiodic
+    base; the search and transition-completeness both ask it.  A level passes
+    by containment in the set of these arrays, one hash lookup per element.
     """
-    return next(compress(base, map(not_, map(is_cycle_free, map(
-        bytes.translate, base, repeat(t_table))))), None)
+
+    def __init__(self, n: int):
+        self.arrays = aperiodic_transformations(n)
+        arrays = frozenset(self.arrays)
+        self._is_cycle_free, self._cycle_free = arrays.__contains__, arrays.issuperset
+        # candidate index -> the base element u that last made u * candidate cyclic
+        self._killers: dict[int, bytes] = {}
+
+    def extension(self, base: set[bytes], gen_tables: list[bytes], i: int):
+        """``extend_closure(base, gen_tables, arrays[i])`` for a cycle-free base.
+
+        Every element of ``base`` must be cycle-free, and ``base`` closed under
+        ``gen_tables``.  Most candidates c fail at the first level: some u in
+        the base makes u * c cyclic.  Such a u is a killer: a cyclic u * c is
+        not in a cycle-free base, so it is in the first level, and the result
+        is None for every such base that holds u.  So c is rejected by one set lookup while its
+        remembered killer is in ``base``, else by one scan of base * c that
+        remembers the first new killer; only a candidate without one reaches
+        ``extend_closure`` (the killer heuristic of game-tree search).
+        """
+        if self._killers.get(i) in base:
+            return None
+        c = self.arrays[i]
+        killer = next(compress(base, map(not_, map(self._is_cycle_free, map(
+            bytes.translate, base, repeat(translation_table(c)))))), None)
+        if killer is not None:
+            self._killers[i] = killer
+            return None
+        return extend_closure(base, gen_tables, c, self._cycle_free)
 
 
 def is_transition_complete(s: Semigroup) -> bool:
     """True iff adding any transformation outside S breaks aperiodicity.
 
     Tries every cycle-free transformation outside S (a cyclic one breaks
-    aperiodicity by itself); meant for desk scale (n <= 5 or so).  S is
-    aperiodic, so ``first_killer`` rejects exactly the candidates whose first
-    level has a cycle, and ``extend_closure`` decides the rest.
+    aperiodicity by itself); meant for desk scale (n <= 5 or so).
     """
     if s.truncated:
         raise ValueError("completeness of a truncated closure is undecided")
     if not is_aperiodic(s):
         raise ValueError("transition-completeness is defined for aperiodic semigroups")
-    candidates = aperiodic_transformations(s.n)
-    candidate_set = frozenset(candidates)
+    candidates = CycleFreeCandidates(s.n)
     base = set(s.element_arrays())
     gen_tables = [translation_table(bytes(g.images)) for g in s.generators]
-    for cand in candidates:
-        if cand in base or first_killer(base, translation_table(cand),
-                                        candidate_set.__contains__) is not None:
-            continue
-        if extend_closure(base, gen_tables, cand, candidate_set.issuperset) is not None:
-            return False
-    return True
+    return all(c in base or candidates.extension(base, gen_tables, i) is None
+               for i, c in enumerate(candidates.arrays))
 
 
 @dataclass(frozen=True)

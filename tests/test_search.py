@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from aperiodic import search
+from aperiodic import search, semigroups
 from aperiodic.optimizer import max_sctree
 from aperiodic.search import max_aperiodic, verify_maximal_known
 from aperiodic.semigroups import (
@@ -98,7 +98,7 @@ def test_killers_spare_extend_closure(monkeypatch):
         calls.append(1)
         return extend_closure(*args)
 
-    monkeypatch.setattr(search, "extend_closure", counting)
+    monkeypatch.setattr(semigroups, "extend_closure", counting)
     result = max_aperiodic(4, max_products=2_000_000, seed_with_family=False)
     assert result.products_used == 2_000_002
     # 43,834 calls without the killers; 1,410 with them

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from aperiodic import semigroups
 from aperiodic.semigroups import (
+    CycleFreeCandidates,
     Semigroup,
     aperiodic_transformations,
     closure,
     count_k_partial,
     extend_closure,
-    first_killer,
     is_aperiodic,
     is_transition_complete,
     unitary_generator_check,
@@ -219,8 +219,10 @@ def test_extend_closure_matches_full_closures():
     rng = random.Random(3)
     outcomes = set()
     # the search's level test: containment in the set of all cycle-free arrays
-    all_cycle_free = {n: frozenset(aperiodic_transformations(n)) for n in range(1, 6)}
-    cycle_free = {n: arrays.issuperset for n, arrays in all_cycle_free.items()}
+    cycle_free = {n: frozenset(aperiodic_transformations(n)).issuperset for n in range(1, 6)}
+    # one object per n for every base, so a killer remembered on one base is
+    # met again on bases that lack it
+    candidates = {n: CycleFreeCandidates(n) for n in range(1, 6)}
     for _ in range(400):
         n = rng.randint(1, 5)
         gens = []
@@ -236,15 +238,10 @@ def test_extend_closure_matches_full_closures():
         assert base == before
         assert extend_closure(base, tables, t, cycle_free[n]) == new
         if not any(map(has_cycle_images, base)):
-            # the scan is exact on such a base: with t cycle-free, no killer
-            # exactly when the first level, (base * t + {t}) - base, passes
-            t_table = translation_table(t)
-            first_level = {u.translate(t_table) for u in base} | {t}
-            passes = not any(map(has_cycle_images, first_level - base))
-            killer = first_killer(base, t_table, all_cycle_free[n].__contains__)
-            assert killer == next((u for u in base if has_cycle_images(u.translate(t_table))),
-                                  None)
-            assert (killer is None and not has_cycle_images(t)) == passes
+            # the killers are exact on such a base
+            arrays = candidates[n].arrays
+            assert [candidates[n].extension(base, tables, i) for i in range(len(arrays))] == [
+                extend_closure(base, tables, c) for c in arrays]
         full = closure(map(_transformation, gens + [t]))
         expected = set(full.element_arrays()) - base
         if any(map(has_cycle_images, expected)):
