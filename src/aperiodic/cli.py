@@ -32,7 +32,7 @@ from .families import build_family, parse_distribution, parse_structure
 from .optimizer import SctiDpTable, UiDpTable
 from .rng import SplitMix64
 from .search import DEFAULT_MAX_PRODUCTS, DEFAULT_MAX_SECONDS, max_aperiodic
-from .semigroups import DEFAULT_ELEMENT_BUDGET, is_aperiodic
+from .semigroups import DEFAULT_ELEMENT_BUDGET, MAX_STATES, is_aperiodic
 
 # formula class -> (smallest n it is defined for, exact size function)
 _FORMULAS = {
@@ -191,6 +191,9 @@ def cmd_family(args) -> int:
                          "output on stdout; give a file name")
     unitary = args.kind in ("u", "ui")
     spec = parse_distribution(args.spec) if unitary else parse_structure(args.spec)
+    if args.verify and spec.n > MAX_STATES:
+        raise ValueError(f"family --verify needs n <= {MAX_STATES} (the closure's state limit), "
+                         f"got n = {spec.n}")
     d = build_family(args.kind, spec) if args.emit_dfa or args.verify else None
     failures = []
     row = {"family": args.kind, "spec": str(spec), "n": spec.n}
@@ -272,14 +275,17 @@ def cmd_search(args) -> int:
 
 
 def cmd_reversal(args) -> int:
-    if args.dfa and args.random:
-        raise ValueError("choose either --dfa or --random")
+    if (args.dfa is not None) == args.random:
+        raise ValueError("choose one of --dfa FILE or --random")
     if args.count < 1 or args.words < 1:
         raise ValueError("--count and --words need to be at least 1")
     if args.n is not None and not 2 <= args.n <= SUBSET_LIMIT:
         raise ValueError(f"reversal --n needs 2 <= n <= {SUBSET_LIMIT}")
-    if args.dfa:
+    if args.dfa is not None:
         d = _load_dfa(args.dfa)
+        if d.n > SUBSET_LIMIT:
+            raise ValueError(f"reversal --dfa needs at most {SUBSET_LIMIT} states "
+                             f"(the subset construction's limit); {args.dfa} has {d.n}")
         s, aperiodic = _close(d)
         if s.truncated:
             raise ValueError(f"closure of {args.dfa} truncated at {len(s)} elements (budget)")
@@ -397,8 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("reversal", help="reversal complexity experiment")
-    p.add_argument("--dfa", help="run on one DFA file instead of random sampling")
-    p.add_argument("--random", action="store_true", help="sample random aperiodic DFAs")
+    p.add_argument("--dfa", help="run on one DFA file (or give --random)")
+    p.add_argument("--random", action="store_true",
+                   help="sample random aperiodic DFAs (or give --dfa)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--n", type=int, help="fix the state count (default: mix of 2..6)")

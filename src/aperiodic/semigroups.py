@@ -40,6 +40,7 @@ from operator import attrgetter, not_
 from .transforms import Transformation, any_cycle_images, has_cycle_images, translation_table
 
 DEFAULT_ELEMENT_BUDGET = 50_000_000  # total stored images, i.e. |S| * n
+MAX_STATES = 255  # an image array is a bytes object
 
 
 class Semigroup:
@@ -143,8 +144,8 @@ def closure(generators, element_budget: int = DEFAULT_ELEMENT_BUDGET) -> Semigro
     for g in gens:
         if g.n != n:
             raise ValueError(f"generators mix state counts {n} and {g.n}")
-    if n > 255:
-        raise ValueError("closure supports at most 255 states")
+    if n > MAX_STATES:
+        raise ValueError(f"closure supports at most {MAX_STATES} states")
     gen_bytes = sorted({bytes(g.images) for g in gens})
     if element_budget < n * len(gen_bytes):
         raise ValueError("element budget too small to hold the generators")
@@ -318,51 +319,25 @@ def _unitary_edge(t: Transformation):
     return moved[0]
 
 
-def _scc_partition(nodes, edges):
-    """Strongly connected components by mutual reachability (tiny graphs)."""
-    adj = {v: set() for v in nodes}
-    for p, q in edges:
-        adj[p].add(q)
-    reach = {}
-    for v in nodes:
-        seen = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        reach[v] = seen
-    comps = []
-    assigned = set()
-    for v in nodes:
-        if v in assigned:
-            continue
-        comp = {u for u in reach[v] if v in reach[u]}
-        assigned |= comp
-        comps.append(comp)
-    return comps
+def _bfs_parents(adj, source, allowed) -> dict:
+    """BFS parent of every state reached from ``source`` through ``allowed``
+    (the source maps to None), successors taken in ``adj`` order."""
+    parent, queue = {source: None}, [source]
+    for x in queue:
+        for y in adj[x]:
+            if y in allowed and y not in parent:
+                parent[y] = x
+                queue.append(y)
+    return parent
 
 
-def _shortest_path(adj, src, dst, allowed):
-    """BFS path src -> dst through ``allowed`` vertices; returns vertex list."""
-    prev = {src: None}
-    queue = [src]
-    while queue:
-        nxt = []
-        for x in queue:
-            for y in adj[x]:
-                if y in allowed and y not in prev:
-                    prev[y] = x
-                    if y == dst:
-                        path = [y]
-                        while prev[path[-1]] is not None:
-                            path.append(prev[path[-1]])
-                        return path[::-1]
-                    nxt.append(y)
-        queue = nxt
-    return None
+def _path_edges(adj, source, dst, allowed) -> list:
+    """The edges of the BFS path source -> dst through ``allowed``, in order."""
+    parent, path = _bfs_parents(adj, source, allowed), []
+    while dst != source:
+        path.append((parent[dst], dst))
+        dst = parent[dst]
+    return path[::-1]
 
 
 def unitary_generator_check(generators) -> UnitaryVerdict:
@@ -371,51 +346,47 @@ def unitary_generator_check(generators) -> UnitaryVerdict:
     A k-cyclic subset (k >= 3, a directed simple cycle among the edges) or a
     T6 pattern (a state bidirectionally linked to three others) each force a
     non-trivial permutation; absence of both certifies aperiodicity.
+    Components (mutual reachability) are scanned in state order.  A one-way
+    edge (p, q) closes a cycle with the shortest path q -> p in its component;
+    a ring's cycle runs from its least state s to s's smaller neighbour.
     """
     gens = list(generators)
+    n = gens[0].n if gens else 0
+    for g in gens:
+        if g.n != n:
+            raise ValueError(f"generators mix state counts {n} and {g.n}")
     edges = {}
     for g in gens:
         e = _unitary_edge(g)
         if e is None:
             return UnitaryVerdict("not_unitary", (g,))
         edges[e] = g
-    n = gens[0].n if gens else 0
-    nodes = range(n)
-    adj = {v: set() for v in nodes}
+    adj = {v: set() for v in range(n)}
     for p, q in edges:
         adj[p].add(q)
+    reach = [_bfs_parents(adj, v, adj) for v in adj]
 
-    for comp in _scc_partition(nodes, edges):
-        if len(comp) < 2:
+    for v in adj:
+        comp = {u for u in reach[v] if v in reach[u]}
+        if len(comp) < 2 or min(comp) < v:  # a singleton, or scanned at its least state
             continue
         internal = [(p, q) for (p, q) in edges if p in comp and q in comp]
         one_way = [(p, q) for (p, q) in internal if (q, p) not in edges]
         if one_way:
             p, q = one_way[0]
-            # return path q -> p exists inside the SCC and has >= 2 edges,
-            # so the edge (p, q) closes a simple cycle of length >= 3
-            path = _shortest_path(adj, q, p, comp)
-            cycle_edges = list(zip(path, path[1:])) + [(p, q)]
+            # the path q -> p inside the component has >= 2 edges, so the
+            # edge (p, q) closes a simple cycle of length >= 3
+            cycle_edges = _path_edges(adj, q, p, comp) + [(p, q)]
             return UnitaryVerdict("k_cyclic", tuple(edges[e] for e in cycle_edges))
-        neighbours = {v: set() for v in comp}
-        for p, q in internal:
-            neighbours[p].add(q)
-        for v in comp:
-            if len(neighbours[v]) >= 3:
-                a, b, c = sorted(neighbours[v])[:3]
-                pattern = [(a, v), (v, a), (v, b), (v, c), (b, v), (c, v)]
+        for u in comp:
+            if len(adj[u] & comp) >= 3:
+                a, b, c = sorted(adj[u] & comp)[:3]
+                pattern = [(a, u), (u, a), (u, b), (u, c), (b, u), (c, u)]
                 return UnitaryVerdict("t6", tuple(edges[e] for e in pattern))
         # all edges bidirectional, degrees <= 2: a path or a ring
         if len(internal) // 2 == len(comp):
-            start = min(comp)
-            ring = [start, min(neighbours[start])]
-            while True:
-                options = neighbours[ring[-1]] - {ring[-2]}
-                nxt = options.pop()
-                if nxt == start:
-                    break
-                ring.append(nxt)
-            cycle_edges = list(zip(ring, ring[1:])) + [(ring[-1], start)]
+            a, b = sorted(adj[v] & comp)
+            cycle_edges = [(v, a)] + _path_edges(adj, a, b, comp - {v}) + [(b, v)]
             return UnitaryVerdict("k_cyclic", tuple(edges[e] for e in cycle_edges))
     return UnitaryVerdict("aperiodic")
 

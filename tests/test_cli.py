@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aperiodic import cli
+from aperiodic.automata import SUBSET_LIMIT
 from aperiodic.cli import main
 from aperiodic.combinatorics import sctree_size, unitary_family_size
 from aperiodic.families import parse_distribution, parse_structure
+from aperiodic.semigroups import MAX_STATES
 
 GOLDEN = Path(__file__).parent / "data" / "golden_table.txt"
 
@@ -205,6 +208,8 @@ def test_optimize_commands(capsys):
     ("reversal", "--random", "--count", "0"),
     ("reversal", "--random", "--count", "-3"),
     ("reversal", "--random", "--n", "3", "--words", "-3"),
+    ("reversal",),  # one of --dfa or --random is required
+    ("reversal", "--seed", "1", "--count", "1", "--n", "3"),
     ("product", "--m", "1", "--fl", "0"),
     ("product", "--m", "8", "--fl", "0"),
     ("family", "ui", "(2,1)", "--verify", "--budget", "0"),
@@ -269,6 +274,41 @@ def test_reversal_rejects_bad_input(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("APERIODIC_BUDGET", "many")
     code, out, err = run(capsys, "reversal", "--dfa", str(cyclic))
     assert code == 2 and "APERIODIC_BUDGET" in err
+
+
+def _refuse_call(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return refuse
+
+
+def test_reversal_dfa_state_limit_before_closure(tmp_path, capsys, monkeypatch):
+    # a 21-cycle, a transposition and a rank-20 idempotent: their closure
+    # runs into the element budget, so the state limit must come first
+    n = 21
+    letters = {"a": [(q + 1) % n for q in range(n)],
+               "b": [1, 0, *range(2, n)],
+               "c": [1, *range(1, n)]}
+    dfa = tmp_path / "d21.dfa"
+    dfa.write_text(f"{n} 3\n0\n0\n" + "".join(
+        f"{a}: {' '.join(map(str, images))}\n" for a, images in letters.items()))
+    monkeypatch.setattr(cli, "transition_semigroup", _refuse_call("transition_semigroup"))
+    code, out, err = run(capsys, "reversal", "--dfa", str(dfa))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"at most {SUBSET_LIMIT} states" in err
+
+
+def test_family_verify_refuses_n_above_closure_limit_before_building(tmp_path, capsys,
+                                                                      monkeypatch):
+    spec = f"(1,{MAX_STATES})"  # n = MAX_STATES + 1
+    out_path = tmp_path / "big.dfa"
+    code, out, err = run(capsys, "family", "ui", spec, "--emit-dfa", str(out_path))
+    assert code == 0 and out_path.read_text().startswith(f"{MAX_STATES + 1} ")
+    monkeypatch.setattr(cli, "build_family", _refuse_call("build_family"))
+    for extra in ((), ("--emit-dfa", str(out_path))):
+        code, out, err = run(capsys, "family", "ui", spec, "--verify", *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and f"n <= {MAX_STATES}" in err
 
 
 def test_search_checkpoint_resume_unseeded(tmp_path, capsys):

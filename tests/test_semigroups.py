@@ -309,6 +309,52 @@ def test_unitary_check_aperiodic_and_not_unitary():
     assert verdict.kind == "not_unitary"
 
 
+def test_unitary_check_rejects_mixed_state_counts():
+    for gens in ([unitary(3, 0, 1), unitary(4, 3, 0)], [unitary(4, 3, 0), unitary(3, 0, 1)]):
+        with pytest.raises(ValueError, match="mix state counts"):
+            unitary_generator_check(gens)
+
+
+def _pinned_unitary_sets():
+    """Every set of 1-6 edges on 3 and 4 states, then 3,000 seeded sets of
+    3-14 distinct edges on 4-7 states, each in its draw order."""
+    from aperiodic.rng import SplitMix64
+
+    for n in (3, 4):
+        for k in range(1, 7):
+            for subset in combinations(_all_edges(n), k):
+                yield n, subset
+    rng = SplitMix64(16)
+    for _ in range(3000):
+        n = 4 + rng.below(4)
+        edges = _all_edges(n)
+        k = min(3 + rng.below(12), len(edges))
+        subset = []
+        while len(subset) < k:
+            edge = edges[rng.below(len(edges))]
+            if edge not in subset:
+                subset.append(edge)
+        yield n, tuple(subset)
+
+
+def test_unitary_check_verdicts_and_witnesses_pinned():
+    """The exact (kind, witness) of every pinned set: the check's edge order,
+    cycle choice and T6 choice are its documented output, not just the kind."""
+    digest = hashlib.sha256()
+    kinds = {}
+    for n, subset in _pinned_unitary_sets():
+        verdict = unitary_generator_check([unitary(n, p, q) for p, q in subset])
+        kinds[verdict.kind] = kinds.get(verdict.kind, 0) + 1
+        witness = [w.images for w in verdict.witness]
+        digest.update(f"{n} {subset} {verdict.kind} {witness}\n".encode())
+    assert kinds == PINNED_UNITARY_KINDS
+    assert digest.hexdigest() == PINNED_UNITARY_DIGEST
+
+
+PINNED_UNITARY_KINDS = {"aperiodic": 2750, "k_cyclic": 2638, "t6": 184}
+PINNED_UNITARY_DIGEST = "d36380fe14e1c03d5c87b13b6e186236637ea1918f3d75581382050848a115ed"
+
+
 def _bipath_components(n, edges) -> bool:
     """The theorem's graph form: every strongly connected component of the
     edge graph (a set of (p, q) pairs) is a bipath.
