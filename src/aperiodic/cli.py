@@ -182,7 +182,8 @@ def cmd_closure(args) -> int:
             rows.append({"file": args.dfa, "element": str(t)})
     columns = ("file", "n", "letters", "size", "truncated", "aperiodic",
                "minimal", "witness", "element")
-    return _emit(args, rows, columns, failures)
+    return _emit(args, rows, columns, failures,
+                 {"stats": {"elements": len(s), "products": s.products}})
 
 
 def cmd_family(args) -> int:

@@ -120,6 +120,19 @@ def test_family_emit_and_closure_roundtrip(tmp_path, capsys):
     assert row["size"] == 8 and row["aperiodic"] is True and row["minimal"] is True
 
 
+def test_closure_json_stats(tmp_path, capsys):
+    # the unrelabeled 8-state witness: the suffix rule makes 157,633 products
+    # where every element times every generator would make 4,288,182
+    dfa_path = tmp_path / "tree8.dfa"
+    run(capsys, "family", "scti", "((3,3),2)", "--emit-dfa", str(dfa_path))
+    code, out, _ = run(capsys, "closure", str(dfa_path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["stats"] == {"elements": 126123, "products": 157633}
+    for fmt in ("text", "csv"):  # the stats go to json only
+        code, out, _ = run(capsys, "closure", str(dfa_path), "--format", fmt)
+        assert code == 0 and "157633" not in out and len(out.splitlines()) == 2
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_family_emit_to_stdout_needs_text(capsys, fmt):
     # the DFA text ahead of the document would leave neither parseable
@@ -378,7 +391,7 @@ def test_experiment_outputs_pinned(capsys, argv, digest):
     (("family", "scti", "((2,2),2)", "--verify", "--emit-dfa", "out.dfa"),
      "1272bc5fca3b63d83941c5df17a21caee28d77172f00b0d28c4c15fbf200a3e8"),
     (("closure", "tree6.dfa"),
-     "0906c6583de694fab372695c84f5a591ecd27a2ae2a0e3fa0b19fee8128fb3df"),
+     "4188ab8d9d5e9ec1d5378e9b66c4bc1214de6dbe4cb82915f62e9f8de83180e5"),
     (("product", "--files", "k.dfa", "l.dfa"),
      "d632a70df5325fa5fda898c7748c9a175f4bd2edb6ce8bd08616f705d0ac5e0c"),
 ])

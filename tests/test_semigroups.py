@@ -147,14 +147,15 @@ def _plain_bfs(gens: list[bytes], room: int | None):
 
 
 def _random_generators(rng: random.Random, n: int) -> list[bytes]:
-    """Identity, constants, semiconstants, random maps and near copies.
+    """Identity, constants, semiconstants, random maps, near copies and products.
 
     A near copy differs from an earlier generator in one or two states, so
-    the two agree on every image set that avoids those states.
+    the two agree on every image set that avoids those states.  A product
+    of two earlier generators has a one-letter word and a two-letter one.
     """
     gens = []
     for _ in range(rng.randint(1, 10)):
-        kind = rng.randrange(5) if gens else rng.randrange(4)
+        kind = rng.randrange(min(len(gens), 2) + 4)
         if kind == 0:
             g = bytes(range(n))
         elif kind == 1:
@@ -164,17 +165,24 @@ def _random_generators(rng: random.Random, n: int) -> list[bytes]:
             g = bytes(target if q in moved else q for q in range(n))
         elif kind == 3:
             g = bytes(rng.randrange(n) for _ in range(n))
-        else:
+        elif kind == 4:
             g = bytearray(rng.choice(gens))
             for q in rng.sample(range(n), min(n, rng.randint(1, 2))):
                 g[q] = rng.randrange(n)
             g = bytes(g)
+        else:
+            a, b = rng.sample(gens, 2)
+            g = bytes(b[x] for x in a)
         gens.append(g)
     return gens
 
 
 def test_closure_matches_plain_bfs():
-    """The image-set cut keeps every level, cut and membership of the plain BFS."""
+    """The suffix rule keeps every level, cut and membership of the plain BFS.
+
+    Multiplying p only by the last letters of the children of s(p), its
+    least word less the first letter, skips only products already seen.
+    """
     rng = random.Random(12)
     cut_mid_level = 0
     for _ in range(300):
@@ -200,6 +208,14 @@ def test_closure_matches_plain_bfs():
             assert [x in s for x in full] == [i < room for i in range(len(full))]
             cut_mid_level += room not in ends and room < len(full)
     assert cut_mid_level > 100
+    # 256 generators: a letter index or a child count no longer fits a byte
+    pool = [bytes(g) for g in iproduct(range(6), repeat=6) if len(set(g)) <= 2]
+    gens = rng.sample(pool, 256)
+    full, _, ends = _plain_bfs(gens, None)
+    assert len(ends) > 2  # the second level is multiplied too
+    for room in (len(full), 256 + 100):
+        s = closure(map(_transformation, gens), element_budget=room * 6)
+        assert s.element_arrays() == tuple(full[:room])
 
 
 def _transformation(images: bytes) -> Transformation:
