@@ -40,9 +40,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, compress, islice, product, repeat, starmap
-from operator import not_, sub
+from itertools import chain, compress, product, repeat, starmap
+from operator import not_
 
 from .transforms import Transformation, any_cycle_images, has_cycle_images, translation_table
 
@@ -60,7 +59,7 @@ class Semigroup:
     closed.  ``products`` counts the translates the closure made.
     """
 
-    def __init__(self, n, generators, element_bytes, element_set, truncated=False, products=0):
+    def __init__(self, n, generators, element_bytes, element_set, truncated, products):
         self.n = n
         self.generators = tuple(generators)
         self._element_bytes = tuple(element_bytes)
@@ -103,8 +102,7 @@ def closure(generators, element_budget: int = DEFAULT_ELEMENT_BUDGET) -> Semigro
     result is returned with ``truncated=True`` rather than silently dropped.
     The suffix rule (module docstring) skips only products already seen, so
     every level, the cut one included, is the one the full product would
-    give; ``products`` counts the translates made, summed per level over the
-    ``kids`` offsets.
+    give; ``products`` counts the translates made.
     """
     gens = list(generators)
     if not gens:
@@ -123,12 +121,10 @@ def closure(generators, element_budget: int = DEFAULT_ELEMENT_BUDGET) -> Semigro
     # element i, ``suffix[i]`` the index of s(i) one level up, and
     # ``kids[s]`` the index here of the first child of element s one level
     # up; level 1 holds the children of the empty word, which is the suffix
-    # of each of them.  Below 256 generators a letter index or a child count
-    # fits a byte, so ``last`` and the child counts are ``bytes``.
+    # of each of them.
     tables = [translation_table(g) for g in gen_bytes]
-    pack = bytes if len(tables) < 256 else partial(array, "I")
     level, seen = gen_bytes, set(gen_bytes)
-    last, suffix = pack(range(len(level))), array("I", [0]) * len(level)
+    last, suffix = array("I", range(len(level))), array("I", [0]) * len(level)
     kids = array("I", (0, len(level)))
     order, room, products, truncated = [], element_budget // n, 0, False
     add = seen.add
@@ -140,19 +136,19 @@ def closure(generators, element_budget: int = DEFAULT_ELEMENT_BUDGET) -> Semigro
             truncated = True
             break
         order += level
-        widths = pack(map(sub, islice(kids, 1, None), kids))
-        products += sum(map(widths.__getitem__, suffix))
         nxt, nxt_suffix, level_kids = [], array("I"), array("I")
         for p, s in zip(level, suffix):
             level_kids.append(len(nxt))
-            for j in range(kids[s], kids[s + 1]):  # the children of s(p)
+            children = range(kids[s], kids[s + 1])  # the children of s(p)
+            products += len(children)
+            for j in children:
                 q = p.translate(tables[last[j]])
                 if q not in seen:
                     add(q)
                     nxt.append(q)
                     nxt_suffix.append(j)  # s(p * t) is the child j of s(p)
         level_kids.append(len(nxt))
-        last = pack(map(last.__getitem__, nxt_suffix))
+        last = array("I", map(last.__getitem__, nxt_suffix))
         level, suffix, kids = nxt, nxt_suffix, level_kids
     gen_ts = tuple(Transformation(tuple(b)) for b in gen_bytes)
     return Semigroup(n, gen_ts, order, seen, truncated, products)

@@ -208,7 +208,7 @@ def test_closure_matches_plain_bfs():
             assert [x in s for x in full] == [i < room for i in range(len(full))]
             cut_mid_level += room not in ends and room < len(full)
     assert cut_mid_level > 100
-    # 256 generators: a letter index or a child count no longer fits a byte
+    # 256 generators, rank <= 2 maps on 6 states, full and cut mid-level
     pool = [bytes(g) for g in iproduct(range(6), repeat=6) if len(set(g)) <= 2]
     gens = rng.sample(pool, 256)
     full, _, ends = _plain_bfs(gens, None)
