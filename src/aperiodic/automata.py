@@ -80,6 +80,8 @@ def parse_dfa(text: str) -> Dfa:
         n, k = int(head[0]), int(head[1])
     except ValueError:
         fail(0, "expected two integers")
+    if k < 0:
+        fail(0, f"the letter count must be at least 0, got {k}")
     try:
         initial = int(lines[1])
     except ValueError:
@@ -104,6 +106,9 @@ def parse_dfa(text: str) -> Dfa:
             fail(i, f"expected {n} images, got {len(images)}")
         alphabet.append(lbl.strip())
         delta.append(Transformation(images))
+    for i in range(3 + k, len(lines)):
+        if lines[i].strip():
+            fail(i, f"unexpected text after the {k} letter lines")
     return Dfa(n=n, alphabet=tuple(alphabet), delta=tuple(delta),
                initial=initial, finals=finals)
 

@@ -28,7 +28,7 @@ from .experiments import (
     reversal_experiment,
     reversal_record,
 )
-from .families import build_family, parse_distribution, parse_structure
+from .families import build_family, check_family, parse_distribution, parse_structure
 from .optimizer import SctiDpTable, UiDpTable
 from .rng import SplitMix64
 from .search import DEFAULT_MAX_PRODUCTS, DEFAULT_MAX_SECONDS, max_aperiodic
@@ -192,27 +192,17 @@ def cmd_family(args) -> int:
                          "output on stdout; give a file name")
     unitary = args.kind in ("u", "ui")
     spec = parse_distribution(args.spec) if unitary else parse_structure(args.spec)
+    check_family(args.kind, spec)
     if args.verify and spec.n > MAX_STATES:
         raise ValueError(f"family --verify needs n <= {MAX_STATES} (the closure's state limit), "
                          f"got n = {spec.n}")
-    d = build_family(args.kind, spec) if args.emit_dfa or args.verify else None
+    value = comb.unitary_family_size(spec) if unitary else comb.sctree_size(spec)
+    # without the identity letter (u, sct) the identity is not a product
+    value -= args.kind in ("u", "sct")
+    row = {"family": args.kind, "spec": str(spec), "n": spec.n, "value": str(value),
+           "provenance": "formula"}
     failures = []
-    row = {"family": args.kind, "spec": str(spec), "n": spec.n}
-    if args.emit_dfa:
-        text = d.to_text()
-        if args.emit_dfa == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.emit_dfa, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        row["emitted"] = args.emit_dfa
-        row["provenance"] = "closure"
-    if args.size or args.verify or not args.emit_dfa:
-        value = comb.unitary_family_size(spec) if unitary else comb.sctree_size(spec)
-        # without the identity letter (u, sct) the identity is not a product
-        value -= args.kind in ("u", "sct")
-        row["value"] = str(value)
-        row["provenance"] = "formula"
+    d = build_family(args.kind, spec) if args.emit_dfa or args.verify else None
     if args.verify:
         s, aperiodic = _close(d, args.budget)
         if s.truncated:
@@ -221,6 +211,14 @@ def cmd_family(args) -> int:
                    provenance="closure")
         if not s.truncated and value != len(s):
             failures.append(f"formula {value} != closure {len(s)}")
+    if args.emit_dfa:
+        text = d.to_text()
+        if args.emit_dfa == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.emit_dfa, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        row["emitted"] = args.emit_dfa
     columns = ("family", "spec", "n", "value", "closure", "aperiodic",
                "minimal", "emitted", "provenance")
     return _emit(args, [row], columns, failures)
@@ -278,8 +276,8 @@ def cmd_search(args) -> int:
 def cmd_reversal(args) -> int:
     if (args.dfa is not None) == args.random:
         raise ValueError("choose one of --dfa FILE or --random")
-    if args.count < 1 or args.words < 1:
-        raise ValueError("--count and --words need to be at least 1")
+    if args.count < 1:
+        raise ValueError("--count needs to be at least 1")
     if args.n is not None and not 2 <= args.n <= SUBSET_LIMIT:
         raise ValueError(f"reversal --n needs 2 <= n <= {SUBSET_LIMIT}")
     if args.dfa is not None:
@@ -292,10 +290,11 @@ def cmd_reversal(args) -> int:
             raise ValueError(f"closure of {args.dfa} truncated at {len(s)} elements (budget)")
         if not aperiodic:
             raise ValueError(f"{args.dfa} is not aperiodic; the reversal bounds assume it is")
-        records = [reversal_record(d, SplitMix64(args.seed), args.words)]
+        records = [reversal_record(d, SplitMix64(args.seed))]
+    elif args.n is None:
+        records = reversal_experiment(args.seed, args.count)
     else:
-        ns = (2, 3, 4, 5, 6) if args.n is None else (args.n,)
-        records = reversal_experiment(args.seed, args.count, ns, args.words)
+        records = reversal_experiment(args.seed, args.count, (args.n,))
     rows = []
     failures = []
     for i, rec in enumerate(records):
@@ -378,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="build or measure a DFA family")
     p.add_argument("kind", choices=("u", "ui", "sct", "scti"))
     p.add_argument("spec", help="distribution (u/ui) or structure tree (sct/scti)")
-    p.add_argument("--size", action="store_true", help="formula size (default)")
     p.add_argument("--verify", action="store_true",
                    help="cross-check the formula against the closure")
     p.add_argument("--emit-dfa", metavar="FILE", help="write the DFA text format ('-' = stdout)")
@@ -410,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--n", type=int, help="fix the state count (default: mix of 2..6)")
-    p.add_argument("--words", type=int, default=100)
     add_format(p)
     p.set_defaults(func=cmd_reversal)
 

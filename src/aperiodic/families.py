@@ -268,21 +268,26 @@ def family_generators(kind: str, spec) -> list[tuple[str, Transformation]]:
     return letters
 
 
-def build_family(kind: str, spec) -> Dfa:
-    """Construct D_u, D_ui, D_sct or D_scti with initial 0 and final n-1.
+def check_family(kind: str, spec) -> None:
+    """Refuse the specs ``build_family`` cannot build.
 
     u/ui reject distributions with two adjacent singleton blocks (the DFA
     would not be complete); u/sct need n >= 2 or they would have an empty
     alphabet.  ui/scti allow n = 1 (the identity-only DFA).
     """
-    letters = family_generators(kind, spec)
     if kind in ("u", "ui") and spec.has_adjacent_singletons():
         raise ValueError(
             f"{spec} has two adjacent singleton blocks; merge them into a "
             "2-block instead (the unitary family is not complete otherwise)"
         )
-    if not letters:
+    if kind in ("u", "sct") and spec.n < 2:
         raise ValueError(f"family {kind}{spec} has no generators; need n >= 2")
+
+
+def build_family(kind: str, spec) -> Dfa:
+    """Construct D_u, D_ui, D_sct or D_scti with initial 0 and final n-1."""
+    letters = family_generators(kind, spec)
+    check_family(kind, spec)
     n = spec.n
     return Dfa(
         n=n,

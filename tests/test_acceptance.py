@@ -162,7 +162,7 @@ def test_c07_transition_completeness():
 
 def test_c08_reversal_property():
     start = time.monotonic()
-    records = reversal_experiment(seed=2024, count=200, ns=(2, 3, 4, 5, 6), words=100)
+    records = reversal_experiment(seed=2024, count=200)
     assert len(records) == 200
     violations = [
         r for r in records

@@ -19,7 +19,7 @@ from aperiodic.automata import (
     reverse_steps,
     transition_semigroup,
 )
-from aperiodic.experiments import check_complement_identity
+from aperiodic.experiments import COMPLEMENT_WORDS, _complement_identity
 from aperiodic.families import build_family, enumerate_distributions, \
     enumerate_structures, parse_distribution, parse_structure
 from aperiodic.rng import SplitMix64
@@ -64,6 +64,7 @@ def test_text_format_roundtrip():
 def test_parse_dfa_empty_finals():
     d = Dfa(n=2, alphabet=("a",), delta=(t(1, 1),), initial=0, finals=frozenset())
     assert parse_dfa(d.to_text()) == d
+    assert parse_dfa(d.to_text() + "\n  \n") == d  # trailing blank lines
 
 
 def test_parse_dfa_errors_cite_lines():
@@ -76,6 +77,12 @@ def test_parse_dfa_errors_cite_lines():
     with pytest.raises(ValueError) as err:
         parse_dfa("1 1\nq\n\ne: 0\n")
     assert "line 2" in str(err.value)
+    with pytest.raises(ValueError) as err:  # a letter past the count is not dropped
+        parse_dfa("2 1\n0\n1\na: 1 1\nb: 0 0\n")
+    assert "line 5" in str(err.value)
+    with pytest.raises(ValueError) as err:  # nor read as no letters at all
+        parse_dfa("2 -1\n0\n1\n")
+    assert "line 1" in str(err.value)
 
 
 def test_is_minimal_families():
@@ -232,8 +239,8 @@ def test_subset_kernels_match_oracle():
             assert is_minimal(candidate) == oracle.is_minimal(candidate)
         seed = rng.randrange(1 << 30)
         ours, theirs = SplitMix64(seed), SplitMix64(seed)
-        assert (check_complement_identity(d, ours, 20)
-                == oracle.check_complement_identity(d, theirs, 20))
+        assert (_complement_identity(d, reverse_steps(d), ours)
+                == oracle.check_complement_identity(d, theirs, COMPLEMENT_WORDS))
         assert ours.next64() == theirs.next64()  # the same draws were consumed
 
 

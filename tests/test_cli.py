@@ -90,12 +90,6 @@ def test_family_u_size_excludes_identity(capsys):
     assert row["value"] == "44" and row["closure"] == 44
 
 
-def test_family_adjacency_rejection(capsys):
-    code, out, err = run(capsys, "family", "u", "(1,1)", "--verify")
-    assert code == 2
-    assert "adjacent singleton" in err
-
-
 def test_family_parse_error(capsys):
     code, _, err = run(capsys, "family", "scti", "((2,2)")
     assert code == 2
@@ -112,8 +106,11 @@ def test_family_deep_structure_exits_2(capsys):
 
 def test_family_emit_and_closure_roundtrip(tmp_path, capsys):
     dfa_path = tmp_path / "ui21.dfa"
-    code, _, _ = run(capsys, "family", "ui", "(2,1)", "--emit-dfa", str(dfa_path))
+    code, out, _ = run(capsys, "family", "ui", "(2,1)", "--emit-dfa", str(dfa_path),
+                       "--format", "json")
     assert code == 0
+    row = json.loads(out)["rows"][0]  # no closure ran: the formula's value and label
+    assert row["value"] == "8" and row["provenance"] == "formula" and "closure" not in row
     code, out, _ = run(capsys, "closure", str(dfa_path), "--format", "json")
     assert code == 0
     row = json.loads(out)["rows"][0]
@@ -179,10 +176,14 @@ def test_closure_budget_zero_exits_2(tmp_path, capsys):
 
 def test_closure_parse_error_cites_line(tmp_path, capsys):
     bad = tmp_path / "bad.dfa"
-    bad.write_text("2 1\n0\n1\na: 0\n")  # wrong image count
-    code, _, err = run(capsys, "closure", str(bad))
-    assert code == 2
-    assert "line 4" in err
+    for text, line in (("2 1\n0\n1\na: 0\n", "line 4"),  # wrong image count
+                       ("2 1\n0\n1\na: 1 1\nb: 0 0\n", "line 5"),  # a letter past k
+                       ("2 -1\n0\n1\n", "line 1")):  # a negative letter count
+        bad.write_text(text)
+        for argv in (("closure", str(bad)), ("product", "--files", str(bad), str(bad))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and line in err
 
 
 def test_optimize_commands(capsys):
@@ -220,7 +221,7 @@ def test_optimize_commands(capsys):
     ("reversal", "--random", "--n", "70"),
     ("reversal", "--random", "--count", "0"),
     ("reversal", "--random", "--count", "-3"),
-    ("reversal", "--random", "--n", "3", "--words", "-3"),
+    ("reversal", "--dfa", "no-such.dfa"),  # the file cannot be opened
     ("reversal",),  # one of --dfa or --random is required
     ("reversal", "--seed", "1", "--count", "1", "--n", "3"),
     ("product", "--m", "1", "--fl", "0"),
@@ -324,6 +325,21 @@ def test_family_verify_refuses_n_above_closure_limit_before_building(tmp_path, c
         assert err.startswith("error: ") and f"n <= {MAX_STATES}" in err
 
 
+def test_family_refuses_what_the_constructor_refuses(tmp_path, capsys, monkeypatch):
+    # the size formulas evaluate on these specs, but the constructor refuses them
+    monkeypatch.setattr(cli, "build_family", _refuse_call("build_family"))
+    out_path = tmp_path / "never.dfa"
+    for kind, spec, reason in (("u", "(1,1)", "adjacent singleton"),
+                               ("ui", "(1,1)", "adjacent singleton"),
+                               ("u", "1", "need n >= 2"), ("sct", "1", "need n >= 2")):
+        for extra in ((), ("--verify",), ("--emit-dfa", str(out_path)),
+                      ("--verify", "--emit-dfa", str(out_path))):
+            code, out, err = run(capsys, "family", kind, spec, *extra)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and reason in err
+    assert not out_path.exists()
+
+
 def test_search_checkpoint_resume_unseeded(tmp_path, capsys):
     ckpt = str(tmp_path / "n3.ckpt")
     for _ in range(2):
@@ -389,7 +405,7 @@ def test_experiment_outputs_pinned(capsys, argv, digest):
     (("family", "scti", "((2,2),2)", "--verify"),
      "a03432133145292fb40898bcf59286fcb10ee3e5e17c5b66940d9bcada0224ec"),
     (("family", "scti", "((2,2),2)", "--verify", "--emit-dfa", "out.dfa"),
-     "1272bc5fca3b63d83941c5df17a21caee28d77172f00b0d28c4c15fbf200a3e8"),
+     "7c8602e13c5b49d20f004915484ac52aed8a35f0df6065b74927976decf535c8"),
     (("closure", "tree6.dfa"),
      "4188ab8d9d5e9ec1d5378e9b66c4bc1214de6dbe4cb82915f62e9f8de83180e5"),
     (("product", "--files", "k.dfa", "l.dfa"),
@@ -445,12 +461,12 @@ _ARGV = st.tuples(
         st.tuples(st.just(("family",)), _one(st.sampled_from(("u", "ui", "sct", "scti"))),
                   _one(st.sampled_from(("1", "6", "(3,3)", "(1,2,3)", "(1,1)", "((1,2),3)",
                                         "((2,2),(1,1))", "(3,0)", "((1,2)", "x", ""))),
-                  st.sampled_from(((), ("--size",), ("--verify",)))),
+                  st.sampled_from(((), ("--verify",)))),
         st.tuples(st.just(("product",)), _opt("--m", st.integers(-3, 6).map(str)),
                   _opt("--fl", _INT)),
         st.tuples(st.just(("reversal", "--random")), _opt("--seed", _INT),
                   _one(st.integers(-3, 3).map(lambda v: f"--count={v}")),
-                  _opt("--n", _INT), _opt("--words", _INT)),
+                  _opt("--n", _INT)),
     ),
     _opt("--format", st.sampled_from(("text", "json", "csv"))),
 ).map(lambda groups: [arg for part in (*groups[0], groups[1]) for arg in part])

@@ -91,7 +91,7 @@ def test_random_aperiodic_dfa_pinned():
 
 
 def test_reversal_experiment_small():
-    records = reversal_experiment(seed=1, count=15, ns=(2, 3, 4), words=30)
+    records = reversal_experiment(seed=1, count=15, ns=(2, 3, 4))
     assert len(records) == 15
     for rec in records:
         assert rec.within_bound
