@@ -49,6 +49,7 @@ UI_CAP = 1000
 SCTI_CAP = 500
 SEARCH_CAP = 4
 PRODUCT_M_CAP = 7
+REVERSAL_COUNT = 100
 TABLE_SEARCH_PRODUCTS = 200_000
 TABLE_SEARCH_SECONDS = 15.0
 
@@ -81,14 +82,15 @@ def _render(rows, fmt: str, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, rows, columns, failures, extra=None):
+def _emit(args, rows, columns, failures, extra=None, summary=None):
     if args.format == "json":
         payload = {"command": args.command, "rows": rows, "failures": failures}
-        if extra:
-            payload.update(extra)
+        payload.update(extra or {})
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         sys.stdout.write(_render(rows, args.format, columns))
+        if summary and args.format == "text":
+            sys.stdout.write(summary + "\n")
         for failure in failures:
             sys.stderr.write(f"FAIL: {failure}\n")
     return 1 if failures else 0
@@ -99,9 +101,9 @@ def _load_dfa(path: str):
         return parse_dfa(fh.read())
 
 
-def _close(d, budget=None):
+def _close(d):
     """The DFA's transition semigroup and its aperiodicity, None if truncated."""
-    s = transition_semigroup(d, element_budget=default_budget() if budget is None else budget)
+    s = transition_semigroup(d, element_budget=default_budget())
     return s, None if s.truncated else is_aperiodic(s)
 
 
@@ -159,7 +161,7 @@ def cmd_table(args) -> int:
 
 def cmd_closure(args) -> int:
     d = _load_dfa(args.dfa)
-    s, aperiodic = _close(d, args.budget)
+    s, aperiodic = _close(d)
     failures = []
     if s.truncated:
         failures.append(f"closure truncated at {len(s)} elements (budget)")
@@ -204,7 +206,7 @@ def cmd_family(args) -> int:
     failures = []
     d = build_family(args.kind, spec) if args.emit_dfa or args.verify else None
     if args.verify:
-        s, aperiodic = _close(d, args.budget)
+        s, aperiodic = _close(d)
         if s.truncated:
             failures.append("closure truncated; raise the budget")
         row.update(closure=len(s), aperiodic=aperiodic, minimal=is_minimal(d).minimal,
@@ -276,7 +278,10 @@ def cmd_search(args) -> int:
 def cmd_reversal(args) -> int:
     if (args.dfa is not None) == args.random:
         raise ValueError("choose one of --dfa FILE or --random")
-    if args.count < 1:
+    if args.dfa is not None and (args.n is not None or args.count is not None):
+        raise ValueError("--n and --count apply to --random only; --dfa reads one DFA")
+    count = REVERSAL_COUNT if args.count is None else args.count
+    if count < 1:
         raise ValueError("--count needs to be at least 1")
     if args.n is not None and not 2 <= args.n <= SUBSET_LIMIT:
         raise ValueError(f"reversal --n needs 2 <= n <= {SUBSET_LIMIT}")
@@ -292,9 +297,9 @@ def cmd_reversal(args) -> int:
             raise ValueError(f"{args.dfa} is not aperiodic; the reversal bounds assume it is")
         records = [reversal_record(d, SplitMix64(args.seed))]
     elif args.n is None:
-        records = reversal_experiment(args.seed, args.count)
+        records = reversal_experiment(args.seed, count)
     else:
-        records = reversal_experiment(args.seed, args.count, (args.n,))
+        records = reversal_experiment(args.seed, count, (args.n,))
     rows = []
     failures = []
     for i, rec in enumerate(records):
@@ -305,17 +310,16 @@ def cmd_reversal(args) -> int:
             failures.append(f"instance {i}: complement identity violated")
         if not rec.complement_unreached:
             failures.append(f"instance {i}: complement of F reached from F")
-    extra = {"seed": args.seed, "violations": len(failures)}
     columns = ("instance", *(f.name for f in fields(ReversalRecord)))
-    code = _emit(args, rows, columns, failures, extra)
-    if args.format != "json":
-        sys.stdout.write(f"seed: {args.seed}  violations: {len(failures)}\n")
-    return code
+    return _emit(args, rows, columns, failures, {"seed": args.seed, "violations": len(failures)},
+                 f"seed: {args.seed}  violations: {len(failures)}")
 
 
 def cmd_product(args) -> int:
     if not args.files and (args.m is None or args.fl is None):
         raise ValueError("product needs either --files K L or both --m and --fl")
+    if args.files and (args.m is not None or args.fl is not None):
+        raise ValueError("--m and --fl choose the families; --files reads two DFAs")
     if args.m is not None and not 2 <= args.m <= PRODUCT_M_CAP:
         raise ValueError(f"product --m needs 2 <= m <= {PRODUCT_M_CAP}")
     if args.files:
@@ -333,6 +337,7 @@ def cmd_product(args) -> int:
                 failures.append(f"complexity {result.n} > bound {bound}")
         rows = [row]
         columns = ("k", "l", "m", "complexity", "bound", "within_bound")
+        summary = None
     else:
         records = family_products(ms=(args.m,), final_states=(args.fl,))
         rows = [dict(vars(rec)) for rec in records]
@@ -340,12 +345,9 @@ def cmd_product(args) -> int:
                     f"complexity {rec.complexity} > bound {rec.bound}"
                     for rec in records if not rec.within_bound]
         columns = tuple(f.name for f in fields(ProductRecord))
-    extra = {"violations": len(failures)}
-    code = _emit(args, rows, columns, failures, extra)
-    if args.format != "json" and not args.files:
         top = max((r["complexity"] for r in rows), default=0)
-        sys.stdout.write(f"max observed complexity: {top}  violations: {len(failures)}\n")
-    return code
+        summary = f"max observed complexity: {top}  violations: {len(failures)}"
+    return _emit(args, rows, columns, failures, {"violations": len(failures)}, summary)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("closure", help="transition semigroup of a DFA file")
     p.add_argument("dfa")
     p.add_argument("--elements", action="store_true", help="dump the elements")
-    p.add_argument("--budget", type=int, help="element budget override")
     add_format(p)
     p.set_defaults(func=cmd_closure)
 
@@ -380,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="cross-check the formula against the closure")
     p.add_argument("--emit-dfa", metavar="FILE", help="write the DFA text format ('-' = stdout)")
-    p.add_argument("--budget", type=int)
     add_format(p)
     p.set_defaults(func=cmd_family)
 
@@ -406,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", action="store_true",
                    help="sample random aperiodic DFAs (or give --dfa)")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--n", type=int, help="fix the state count (default: mix of 2..6)")
+    p.add_argument("--count", type=int, help=f"DFAs --random samples (default {REVERSAL_COUNT})")
+    p.add_argument("--n", type=int, help="fix the --random state count (default: mix of 2..6)")
     add_format(p)
     p.set_defaults(func=cmd_reversal)
 

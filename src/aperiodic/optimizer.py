@@ -131,8 +131,8 @@ class SctiDpTable:
     C(2s-1,s) and k^s lower-bound the leaf, and every split's A + C is
     attained, its log-sum max(a,c) + log1p(exp(-|a-c|)) exact up to rounding.
     Each (s, k) carries a level from the leaf's two bounds and the log-sums
-    of three guessed splits: this column's last winner r, r + 1, and the
-    winner at (s, k + 1).  One C-level pass drops every split whose a is too
+    of two guessed splits: this column's last winner and the winner at
+    (s, k + 1).  One C-level pass drops every split whose a is too
     small to reach the cutoff below that level even with C at its largest
     over all splits; the survivors' log-sums then raise the level to their
     largest.  A split is evaluated exactly only when its log-sum reaches the
@@ -179,11 +179,9 @@ class SctiDpTable:
                 diag = diagonal[s + k]  # diag[k + r] = log values[r + k][s - r]
                 c_top = s * log1[k]
                 # attained level: the leaf's lower bounds and the log-sums of
-                # this column's last winner, the split after it and the winner
-                # at k + 1
+                # this column's last winner and the winner at k + 1
                 level = max(logc[s], s * log_k[k])
-                last = scol[s - 1]
-                for g in (last, last + 1, prev_scol[s] if s < len(prev_scol) else 0):
+                for g in (scol[s - 1], prev_scol[s] if s < len(prev_scol) else 0):
                     if 0 < g < s:
                         ag = diag[k + g] + lcol[g]
                         cg = log_k[s - g] + c_top + lq[g]

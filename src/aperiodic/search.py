@@ -119,7 +119,10 @@ def max_aperiodic(
     """Search for the largest aperiodic transition semigroup on n states.
 
     The search is exact when it completes (``exhaustive=True``); otherwise it
-    reports the best semigroup seen.  A checkpoint file lets an interrupted
+    reports the best semigroup seen.  ``distinct_maxima`` counts the distinct
+    labeled closures of the best size that the run met, capped at 64: an
+    unseeded n = 3 run reports 9, every labeled maximum there (3 up to
+    relabeling).  A checkpoint file lets an interrupted
     run resume: a header line with n, the seed flag and the candidate count,
     then one line per fully explored first-generator branch holding the
     branch's best size and witness, e.g. ``[0,0,1] 10 [0,0,1] [1,1,1]``.  A

@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, round-trips, env overrides."""
 
+import csv
 import hashlib
 import io
 import json
@@ -164,14 +165,29 @@ def test_closure_budget_env(tmp_path, capsys, monkeypatch):
     assert payload["failures"]
 
 
-def test_closure_budget_zero_exits_2(tmp_path, capsys):
+def test_closure_budget_zero_exits_2(tmp_path, capsys, monkeypatch):
     dfa_path = tmp_path / "ui21.dfa"
     run(capsys, "family", "ui", "(2,1)", "--emit-dfa", str(dfa_path))
     for budget in ("0", "-5", "1"):  # 0 is a budget, not "use the default"
-        code, out, err = run(capsys, "closure", str(dfa_path), "--budget", budget)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
+        monkeypatch.setenv("APERIODIC_BUDGET", budget)
+        for argv in (("closure", str(dfa_path)), ("family", "ui", "(2,1)", "--verify")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
+
+
+def test_budget_flag_is_refused(tmp_path, capsys):
+    # APERIODIC_BUDGET is the one budget setting; neither command has a flag for it
+    dfa_path = tmp_path / "ui21.dfa"
+    run(capsys, "family", "ui", "(2,1)", "--emit-dfa", str(dfa_path))
+    for argv in (("closure", str(dfa_path), "--budget", "5"),
+                 ("family", "ui", "(2,1)", "--verify", "--budget", "5")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --budget 5" in captured.err
 
 
 def test_closure_parse_error_cites_line(tmp_path, capsys):
@@ -226,14 +242,28 @@ def test_optimize_commands(capsys):
     ("reversal", "--seed", "1", "--count", "1", "--n", "3"),
     ("product", "--m", "1", "--fl", "0"),
     ("product", "--m", "8", "--fl", "0"),
-    ("family", "ui", "(2,1)", "--verify", "--budget", "0"),
-    ("family", "ui", "(2,1)", "--verify", "--budget", "-5"),
+    # flags the mode does not read: --n and --count with --dfa, --m and --fl with --files
+    ("reversal", "--dfa", "k.dfa", "--n", "5", "--count", "7"),
+    ("reversal", "--dfa", "k.dfa", "--count", "0"),
+    ("reversal", "--dfa", "k.dfa", "--n", "3"),
+    ("reversal", "--dfa", "k.dfa", "--count", "100"),
+    ("product", "--files", "k.dfa", "l.dfa", "--m", "5", "--fl", "1"),
+    ("product", "--files", "k.dfa", "l.dfa", "--m", "9"),
+    ("product", "--files", "k.dfa", "l.dfa", "--fl", "0"),
 ])
-def test_out_of_domain_exits_2(capsys, argv):
+def test_out_of_domain_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # every refusal comes before a DFA is closed or a product built
+    monkeypatch.chdir(tmp_path)
+    Path("k.dfa").write_text("2 2\n0\n1\na: 1 1\nb: 0 0\n")
+    Path("l.dfa").write_text("2 2\n0\n1\na: 1 1\nb: 0 1\n")
+    monkeypatch.setattr(cli, "transition_semigroup", _refuse_call("transition_semigroup"))
+    monkeypatch.setattr(cli, "product_dfa", _refuse_call("product_dfa"))
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    if "k.dfa" in argv:  # refused for the mode, not for the flag's value
+        assert "--dfa reads one DFA" in err or "--files reads two DFAs" in err
 
 
 def test_search_command(capsys):
@@ -362,6 +392,32 @@ def test_product_families(capsys):
     assert all(r["complexity"] <= 9 for r in payload["rows"])
 
 
+def test_csv_holds_only_data_rows(capsys):
+    # the summary line is text-only, so a CSV reader sees the JSON's rows and nothing else
+    for argv in (("reversal", "--random", "--count", "2", "--n", "3"),
+                 ("product", "--m", "2", "--fl", "1")):
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        expected = json.loads(out)["rows"]
+        assert len(rows) == len(expected)
+        for row, want in zip(rows, expected):
+            assert None not in row and None not in row.values()
+            assert all(row[k] == ("" if v is None else str(v)) for k, v in want.items())
+
+
+def test_text_ends_with_summary(tmp_path, capsys):
+    code, out, _ = run(capsys, "reversal", "--random", "--count", "2", "--n", "3")
+    assert code == 0 and out.splitlines()[-1] == "seed: 1  violations: 0"
+    code, out, _ = run(capsys, "product", "--m", "2", "--fl", "1")
+    assert code == 0 and out.splitlines()[-1] == "max observed complexity: 3  violations: 0"
+    k_path = tmp_path / "k.dfa"
+    k_path.write_text("2 2\n0\n1\na: 1 1\nb: 0 0\n")
+    code, out, _ = run(capsys, "product", "--files", str(k_path), str(k_path))
+    assert code == 0 and len(out.splitlines()) == 2  # one row, no summary
+
+
 def test_product_files(tmp_path, capsys):
     k_path = tmp_path / "k.dfa"
     l_path = tmp_path / "l.dfa"
@@ -383,7 +439,7 @@ def test_product_files(tmp_path, capsys):
      "0c276390738bd91cc090166a6bb20447708eb52681add20e4231589b0a76f59d"),
     (("product", "--m", "5", "--fl", "1"),
      "d4536abb6cd50ca7f9fc1fb7e7d9730a8827e222d8dbc8e8cd89154f9d179748"),
-])
+], ids=["reversal-n7", "reversal-n8", "product-fl0", "product-fl1"])
 def test_experiment_outputs_pinned(capsys, argv, digest):
     # sha256 of the JSON output of the per-bit subset constructions
     code, out, _ = run(capsys, *argv, "--format", "json")
