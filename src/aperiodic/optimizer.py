@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from math import comb, exp, expm1, inf, log, log1p, sqrt
+from math import comb, exp, expm1, inf, log, log1p, pi, sqrt
 from operator import add, le
 from typing import NamedTuple
 
@@ -32,19 +32,34 @@ def _cutoff(level: float) -> float:
     return level - 1e-9 * (abs(level) + 1.0)
 
 
-def _bipath_log_bounds(n: int) -> tuple[list[float], list[float], list[float]]:
-    """Tables for log m_bi(j,k) <= min(logc[j] + j*log1[k], j*steep[k]).
+def _bipath_log_bounds(n: int) -> tuple[list[float], ...]:
+    """Tables for the bound on log m_bi(j,k), 1 <= j and j + k <= n:
+
+        min(logc[j] + j*log1[k], j*slope[k] + min(0, corr[k] - half_log[j])).
 
     m_bi(j,k) = sum over h of k^(j-h) C(j,h) C(j+h-1,h).  Since
-    C(j+h-1,h) <= C(2j-1,j), it is at most C(2j-1,j) (k+1)^j; since
-    C(j,h) <= j^h/h! and C(j+h-1,h) <= (2j)^h/h!, it is at most
-    k^j sum_h (2j^2/k)^h/(h!)^2 <= k^j e^(2j sqrt(2/k)).  The second bound
-    needs k >= 1; steep[0] is inf so the first one applies.
+    C(j+h-1,h) <= C(2j-1,j), it is at most C(2j-1,j) (k+1)^j, exact at k = 0.
+
+    The second term is Laplace's bound, for k >= 1; slope[0] is inf, so the
+    first term applies at k = 0.  Since C(j+h-1,h) <= C(j+h,h), m_bi(j,k) is
+    at most k^j P_j(z), the Legendre polynomial at z = 1 + 2/k = cosh t.
+    Laplace's first integral (Whittaker and Watson, A Course of Modern
+    Analysis, 15.23) is
+    P_j(cosh t) = (1/pi) integral over [0, pi] of (cosh t + sinh t cos phi)^j,
+    and the integrand's base is e^t (1 - (1 - e^(-2t))(1 - cos phi)/2).  With
+    1 - u <= e^(-u) and 1 - cos phi >= 2 phi^2/pi^2 the integral is at most
+    a half Gaussian, so P_j <= e^(jt) min(1, sqrt(pi/(j(1 - e^(-2t))))/2).
+    As k e^t = (1 + sqrt(k+1))^2 and 1 - e^(-2t) = 4 sqrt(k+1)/(k e^t),
+    log m_bi(j,k) <= 2j log(1 + sqrt(k+1))
+                     + min(0, log(pi (1 + sqrt(k+1))^2 / (16 j sqrt(k+1)))/2).
     """
     logc = [0.0] + [log(comb(2 * j - 1, j)) for j in range(1, n + 1)]
     log1 = [log(k + 1) for k in range(n + 1)]
-    steep = [inf] + [log(k) + 2.0 * sqrt(2.0 / k) for k in range(1, n + 1)]
-    return logc, log1, steep
+    root = [log1p(sqrt(k + 1)) for k in range(n + 1)]  # log(1 + sqrt(k+1))
+    slope = [inf] + [2.0 * root[k] for k in range(1, n + 1)]
+    corr = [0.5 * log(pi / 16) + root[k] - 0.25 * log1[k] for k in range(n + 1)]
+    half_log = [-inf] + [0.5 * log(j) for j in range(1, n + 1)]
+    return logc, log1, slope, corr, half_log
 
 
 @dataclass(frozen=True)
@@ -58,9 +73,10 @@ class UiDpTable:
     distribution is maximal.
 
     Each row starts from the previous row's argmax; any other j is evaluated
-    exactly only when log values[i-j] plus the bipath log bound reaches the
-    cutoff below the best so far.  stats counts the (i, j) candidates and
-    the exact evaluations among them.
+    exactly only when log values[i-j] plus the bipath log bound (Laplace's
+    bound on m_bi(j, i-j), or log C(2j-1,j)(i-j+1)^j where that is smaller;
+    see _bipath_log_bounds) reaches the cutoff below the best so far.  stats
+    counts the (i, j) candidates and the exact evaluations among them.
     """
 
     n: int
@@ -72,7 +88,7 @@ class UiDpTable:
     def compute(cls, n: int) -> "UiDpTable":
         if n < 0:
             raise ValueError("n must be non-negative")
-        logc, log1, steep = _bipath_log_bounds(n)
+        logc, log1, slope, corr, half_log = _bipath_log_bounds(n)
         values = [1] * (n + 1)
         logv = [0.0] * (n + 1)
         first = [0] * (n + 1)
@@ -84,7 +100,11 @@ class UiDpTable:
             cut = _cutoff(log(best))
             for j in range(1, i + 1):
                 k = i - j
-                if j == start or logv[k] + min(logc[j] + j * log1[k], j * steep[k]) < cut:
+                lv = logv[k]
+                c = corr[k] - half_log[j]  # min(0, c) without the call
+                if (j == start
+                        or lv + j * slope[k] + (c if c < 0.0 else 0.0) < cut
+                        or lv + logc[j] + j * log1[k] < cut):
                     continue
                 exact += 1
                 candidate = values[k] * bipath_k_partial(j, k)
@@ -137,6 +157,7 @@ class SctiDpTable:
     over all splits; the survivors' log-sums then raise the level to their
     largest.  A split is evaluated exactly only when its log-sum reaches the
     cutoff below this final level, the leaf only when its bipath log bound
+    (Laplace's, or C(2s-1,s)(k+1)^s where smaller; see _bipath_log_bounds)
     does.  A dropped split lies below the first cutoff, so the final level
     is the largest of the leaf bounds and of all log-sums whatever the
     guesses were; they only make the pass drop more, and the exact
@@ -154,7 +175,7 @@ class SctiDpTable:
     def compute(cls, n: int) -> "SctiDpTable":
         if n < 1:
             raise ValueError("n must be at least 1")
-        logc, log1, steep = _bipath_log_bounds(n)
+        logc, log1, slope, corr, half_log = _bipath_log_bounds(n)
         log_k = [-inf] + [log(k) for k in range(1, n + 1)]
         diagonal = [[0.0] * (d + 1) for d in range(n + 1)]  # [k'+s'][k']
         values: list[tuple[int, ...]] = [()] * (n + 1)
@@ -204,7 +225,8 @@ class SctiDpTable:
                         top = bound
                 cut = _cutoff(top)
                 best = None
-                if min(logc[s] + s * log1[k], s * steep[k]) >= cut:
+                if min(logc[s] + s * log1[k],
+                       s * slope[k] + min(0.0, corr[k] - half_log[s])) >= cut:
                     exact += 1
                     best = bipath_k_partial(s, k)
                     best_r = 0

@@ -64,5 +64,5 @@ SCTI_500_TABLE_SHA256 = "0ee85b759e5a8633c86c07a2b569008cbc72f665d8b4ffb9e31b5a7
 
 # sha256 of repr([tuple(T.compute(n).stats) for n in range(1, 61)]) for the
 # two DPs: which candidates the screens evaluate exactly, not only the tables
-UI_STATS_1_60_SHA256 = "c86a4dfcfaf6f35bd6a12721378fd9ed4b243af287e1aaea92fe0491565a87bf"
-SCTI_STATS_1_60_SHA256 = "f688e973181afb87fa89d596ac0c4408bb1a690e2ab581d2e308ebb677f6643a"
+UI_STATS_1_60_SHA256 = "bf420bb8fdd504d68b5a2ee95032697551cfdf6ad36f795fb42dde991062f5a8"
+SCTI_STATS_1_60_SHA256 = "ba431f94e2eb0073b293c1d92b89ce9b8ca3e3053477cb7fb0eb3d6f00fd5508"

@@ -190,7 +190,7 @@ def test_c10_scaling_runs():
     assert unitary_family_size(ui_table.witness(1000)) == ui_table.values[1000]
     ui_digest = hashlib.sha256(repr((ui_table.values, ui_table.first_part)).encode())
     assert ui_digest.hexdigest() == UI_1000_TABLE_SHA256
-    assert ui_table.stats == DpStats(500500, 100127)
+    assert ui_table.stats == DpStats(500500, 46789)
 
     t0 = time.monotonic()
     sc_table = SctiDpTable.compute(500)
@@ -199,7 +199,7 @@ def test_c10_scaling_runs():
     assert sc_elapsed < 1800, f"max_sctree(500) took {sc_elapsed:.0f}s"
     sc_digest = hashlib.sha256(repr((sc_table.values, sc_table.split)).encode())
     assert sc_digest.hexdigest() == SCTI_500_TABLE_SHA256
-    assert sc_table.stats == DpStats(20958500, 421465)
+    assert sc_table.stats == DpStats(20958500, 402985)
     assert sctree_size(witness_sc) == value_sc
     assert value_sc >= ui_table.values[500]  # trees dominate at equal n
 

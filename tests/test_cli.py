@@ -451,7 +451,7 @@ def test_experiment_outputs_pinned(capsys, argv, digest):
     (("table", "--max", "5"),
      "67b21efe1bb288f892ef2b943cb2bd234db23861e1548a4738121bc8e44ad082"),
     (("optimize", "ui", "13"),
-     "c9d83a04772b4eed44b762f258d3ca092fe86c0ca8f7969d44bdfef5b8a119cf"),
+     "113b479d1aade94e60d4479e9a288d89a1dc34b4cdcab2422f967caeb931e3e1"),
     (("optimize", "scti", "6"),
      "f6234241301dc82a5883be4d629bd28fd21c3d79d0a47c72a7b04e857ce57fcc"),
     (("search", "3", "--no-seed"),
@@ -466,7 +466,8 @@ def test_experiment_outputs_pinned(capsys, argv, digest):
      "4188ab8d9d5e9ec1d5378e9b66c4bc1214de6dbe4cb82915f62e9f8de83180e5"),
     (("product", "--files", "k.dfa", "l.dfa"),
      "d632a70df5325fa5fda898c7748c9a175f4bd2edb6ce8bd08616f705d0ac5e0c"),
-])
+], ids=["table-5", "optimize-ui-13", "optimize-scti-6", "search-3", "family-ui",
+        "family-scti", "family-scti-emit", "closure", "product-files"])
 def test_json_outputs_pinned(tmp_path, monkeypatch, capsys, argv, digest):
     # sha256 of each command's JSON, key order kept and timings dropped; the
     # input files get fixed relative names so the paths in the rows are fixed

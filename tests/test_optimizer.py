@@ -1,10 +1,12 @@
 """Maximization DPs against the brute-force oracle and known values."""
 
 import hashlib
+from math import comb, isclose, log, pi, sqrt
 
 import pytest
 
 from aperiodic.combinatorics import (
+    bipath_k_partial,
     monotonic_size,
     nearly_monotonic_size,
     partially_monotonic_size,
@@ -15,6 +17,7 @@ from aperiodic.combinatorics import (
 from aperiodic.families import Distribution, leaf, parse_structure
 from aperiodic.optimizer import (
     DpStats,
+    _bipath_log_bounds,
     SctiDpTable,
     UiDpTable,
     max_sctree,
@@ -92,19 +95,41 @@ def test_screened_tables_match_unscreened(n):
     assert (scti.values, scti.split) == dp_oracle.scti_tables(n)
 
 
+def test_bipath_log_bound():
+    # Laplace's bound on log m_bi(j,k), from its closed form here, against the
+    # exact value at every 1 <= j, 0 <= k with j + k <= 300; the DPs' tables
+    # must give its min with log(C(2j-1,j)(k+1)^j), never below the exact log
+    n = 300
+    logc, log1, slope, corr, half_log = _bipath_log_bounds(n)
+    for j in range(1, n + 1):
+        for k in range(n + 1 - j):
+            exact = log(bipath_k_partial(j, k))
+            bound = log(comb(2 * j - 1, j)) + j * log(k + 1)
+            if k:
+                r = sqrt(k + 1)
+                laplace = 2 * j * log(1 + r) + min(
+                    0.0, log(pi * (1 + r) ** 2 / (16 * j * r)) / 2)
+                assert laplace >= exact
+                bound = min(bound, laplace)
+            table = min(logc[j] + j * log1[k],
+                        j * slope[k] + min(0.0, corr[k] - half_log[j]))
+            assert isclose(table, bound, rel_tol=1e-12)
+            assert table >= exact * (1 - 1e-12)
+
+
 def test_screening_stats():
     ui = UiDpTable.compute(300)
     assert ui.stats.considered == 300 * 301 // 2
-    assert ui.stats == DpStats(45150, 15785)
+    assert ui.stats == DpStats(45150, 7563)
     scti = SctiDpTable.compute(200)
     assert scti.stats.considered == sum(s * (201 - s) for s in range(1, 201))
-    assert scti.stats == DpStats(1353400, 44844)
+    assert scti.stats == DpStats(1353400, 40459)
 
 
 @pytest.mark.parametrize("table, digest", [
     (UiDpTable, UI_STATS_1_60_SHA256),
     (SctiDpTable, SCTI_STATS_1_60_SHA256),
-])
+], ids=["ui", "scti"])
 def test_screening_decisions_pinned(table, digest):
     # the unscreened oracle compares tables only; this pins which candidates
     # were evaluated exactly at every n up to 60

@@ -50,7 +50,7 @@ def test_search_without_seed_still_finds_max():
      "4335309431c6073a8fec69d4e7f18b509ecf899462745a3eb8c2567404531c6f"),
     (6, 200_000, 452, 200_859, 417,
      "4fb34572dc03cbbd2737dea123a90af49cfd2741a5a7510693b8932e3d5031c4"),
-])
+], ids=["n4", "n5", "n6"])
 def test_bounded_unseeded_search_pinned(n, max_products, size, products, count, digest):
     # the budget cuts the DFS mid-tree: these pin its order and product accounting
     result = max_aperiodic(n, max_products=max_products, seed_with_family=False)
