@@ -466,8 +466,7 @@ def test_experiment_outputs_pinned(capsys, argv, digest):
      "4188ab8d9d5e9ec1d5378e9b66c4bc1214de6dbe4cb82915f62e9f8de83180e5"),
     (("product", "--files", "k.dfa", "l.dfa"),
      "d632a70df5325fa5fda898c7748c9a175f4bd2edb6ce8bd08616f705d0ac5e0c"),
-], ids=["table-5", "optimize-ui-13", "optimize-scti-6", "search-3", "family-ui",
-        "family-scti", "family-scti-emit", "closure", "product-files"])
+])
 def test_json_outputs_pinned(tmp_path, monkeypatch, capsys, argv, digest):
     # sha256 of each command's JSON, key order kept and timings dropped; the
     # input files get fixed relative names so the paths in the rows are fixed
