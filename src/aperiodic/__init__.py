@@ -34,6 +34,7 @@ from .automata import (
     is_minimal,
     minimize,
     parse_dfa,
+    product_complexity,
     product_dfa,
     reverse_determinize,
     transition_semigroup,

@@ -7,7 +7,9 @@ Subset constructions encode state sets as bitmasks and move them with
 table lookups: per letter, one 256-entry table per byte of the mask maps
 that byte's states to the union of their images, so a step on n <= 8
 states is one lookup and the tables stay small up to the n <= 20 limit.
-Everything here runs at desk scale.
+``product_complexity`` counts the classes of the product's subsets and
+builds no ``Dfa``, for callers that need only the state count of
+``product_dfa``.  Everything here runs at desk scale.
 """
 
 from __future__ import annotations
@@ -281,15 +283,15 @@ def minimize(d: Dfa) -> Dfa:
                      d.alphabet)
 
 
-def product_dfa(k_dfa: Dfa, l_dfa: Dfa) -> Dfa:
-    """Minimal DFA of the concatenation L(K) . L(L), over a shared alphabet.
+def _product_explore(k_dfa: Dfa, l_dfa: Dfa):
+    """The subset construction of the concatenation L(K) . L(L).
 
-    Built as an epsilon-NFA (epsilon edges from K's finals to L's initial)
-    followed by the subset construction and minimization; the result's state
-    count is the quotient complexity of the product.  K is deterministic, so
-    every reachable subset holds exactly one K state: a subset is a pair
-    (K state k, subset of L's states), stored as ``l_mask << b | k`` with b
-    the bit length of m - 1.
+    Returns the state count, one image column per letter and the accepting
+    states, numbered in BFS order from the start state, all reachable.  The
+    epsilon-NFA has epsilon edges from K's finals to L's initial state.  K is
+    deterministic, so every reachable subset holds exactly one K state: a
+    subset is a pair (K state k, subset of L's states), stored as
+    ``l_mask << b | k`` with b the bit length of m - 1.
     """
     if k_dfa.alphabet != l_dfa.alphabet:
         raise ValueError("product requires the same alphabet on both DFAs")
@@ -312,9 +314,27 @@ def product_dfa(k_dfa: Dfa, l_dfa: Dfa) -> Dfa:
     order, rows = _explore(enter[k_dfa.initial], successors)
     l_final_mask = sum(1 << (q + b) for q in l_dfa.finals)
     finals = {i for i, state in enumerate(order) if state & l_final_mask}
-    # the explored states are numbered in BFS order from 0 and all reachable
-    return _quotient(len(order), list(zip(*rows)), finals, range(len(order)),
-                     k_dfa.alphabet)
+    return len(order), list(zip(*rows)), finals
+
+
+def product_dfa(k_dfa: Dfa, l_dfa: Dfa) -> Dfa:
+    """Minimal DFA of the concatenation L(K) . L(L), over a shared alphabet.
+
+    The subset construction of the epsilon-NFA (``_product_explore``),
+    refined and quotiented directly; the result's state count is the
+    quotient complexity of the product.
+    """
+    n, images, finals = _product_explore(k_dfa, l_dfa)
+    return _quotient(n, images, finals, range(n), k_dfa.alphabet)
+
+
+def product_complexity(k_dfa: Dfa, l_dfa: Dfa) -> int:
+    """``product_dfa(k_dfa, l_dfa).n``, without building the quotient DFA.
+
+    The number of classes the refinement makes of the explored subsets.
+    """
+    n, images, finals = _product_explore(k_dfa, l_dfa)
+    return max(_refine(n, images, finals, range(n))) + 1
 
 
 def extend_alphabet(d: Dfa, alphabet: tuple[str, ...]) -> Dfa:

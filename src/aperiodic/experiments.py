@@ -18,7 +18,7 @@ from .automata import (
     Dfa,
     extend_alphabet,
     minimize,
-    product_dfa,
+    product_complexity,
     reverse_determinize,
     reverse_steps,
 )
@@ -189,7 +189,7 @@ def product_record(k_dfa: Dfa, family: str, spec: str, variant,
     merged = k_dfa.alphabet + l_dfa.alphabet
     k_ext = extend_alphabet(k_dfa, merged)
     l_ext = extend_alphabet(l_dfa, merged)
-    complexity = product_dfa(k_ext, l_ext).n
+    complexity = product_complexity(k_ext, l_ext)
     m = k_dfa.n
     bound = concatenation_bound(m, final_state)
     return ProductRecord(

@@ -32,7 +32,8 @@ object: it holds every cycle-free array of length n, rejects most c before
 any level is built, by a remembered or newly scanned u in the base with
 u * c cyclic, and tests the levels of the rest by set containment instead
 of one cycle test per element.
-``is_aperiodic`` tests a whole closure with the lane-packed power test of
+``is_aperiodic`` tests a whole closure, and ``extend_closure`` by default
+each level, with the lane-packed power test of
 ``transforms.any_cycle_images``, 256 // n elements per step.
 """
 
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from itertools import chain, compress, product, repeat, starmap
 from operator import not_
 
-from .transforms import Transformation, any_cycle_images, has_cycle_images, translation_table
+from .transforms import Transformation, any_cycle_images, translation_table
 
 DEFAULT_ELEMENT_BUDGET = 50_000_000  # total stored images, i.e. |S| * n
 MAX_STATES = 255  # an image array is a bytes object
@@ -191,7 +192,7 @@ def aperiodic_transformations(n: int) -> list[bytes]:
 
 
 def _cycle_free_level(level) -> bool:
-    return not any(map(has_cycle_images, level))
+    return not any_cycle_images(level, len(level[0]))
 
 
 def extend_closure(base: set[bytes], gen_tables: list[bytes], t: bytes,
@@ -206,11 +207,12 @@ def extend_closure(base: set[bytes], gen_tables: list[bytes], t: bytes,
 
     ``cycle_free`` takes a level, a list of distinct image arrays not in
     ``base``, and is true iff every one is cycle-free.  The default runs the
-    cycle test per element; a caller holding the set of all cycle-free
-    arrays of length n passes its ``issuperset``, one hash lookup per
-    element.  ``base`` need not be aperiodic (a closure of cycle-free
-    generators can hold elements with a cycle): base * t may land on such an
-    element, and as it is not new the test does not see it.
+    lane-packed power test of ``any_cycle_images``, 256 // n elements per
+    step; a caller holding the set of all cycle-free arrays of length n
+    passes its ``issuperset``, one hash lookup per element.  ``base`` need
+    not be aperiodic (a closure of cycle-free generators can hold elements
+    with a cycle): base * t may land on such an element, and as it is not
+    new the test does not see it.
     """
     t_table = translation_table(t)
     tables = gen_tables + [t_table]

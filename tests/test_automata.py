@@ -14,6 +14,7 @@ from aperiodic.automata import (
     is_minimal,
     minimize,
     parse_dfa,
+    product_complexity,
     product_dfa,
     reverse_determinize,
     reverse_steps,
@@ -252,6 +253,7 @@ def test_product_matches_oracle():
         l_dfa = _random_dfa(rng, rng.randint(1, 4), letters)
         ours, theirs = product_dfa(k_dfa, l_dfa), oracle.product_dfa(k_dfa, l_dfa)
         assert (ours.n, ours.delta, ours.finals) == (theirs.n, theirs.delta, theirs.finals)
+        assert product_complexity(k_dfa, l_dfa) == theirs.n
 
 
 def test_multibyte_subset_steps_match_oracle():
@@ -267,6 +269,7 @@ def test_multibyte_subset_steps_match_oracle():
         k_dfa = _random_dfa(rng, 4, 3)
         ours, theirs = product_dfa(k_dfa, l_dfa), oracle.product_dfa(k_dfa, l_dfa)
         assert (ours.n, ours.delta, ours.finals) == (theirs.n, theirs.delta, theirs.finals)
+        assert product_complexity(k_dfa, l_dfa) == theirs.n
 
 
 def test_product_subset_limit():

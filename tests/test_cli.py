@@ -257,7 +257,7 @@ def test_out_of_domain_exits_2(tmp_path, monkeypatch, capsys, argv):
     Path("k.dfa").write_text("2 2\n0\n1\na: 1 1\nb: 0 0\n")
     Path("l.dfa").write_text("2 2\n0\n1\na: 1 1\nb: 0 1\n")
     monkeypatch.setattr(cli, "transition_semigroup", _refuse_call("transition_semigroup"))
-    monkeypatch.setattr(cli, "product_dfa", _refuse_call("product_dfa"))
+    monkeypatch.setattr(cli, "product_complexity", _refuse_call("product_complexity"))
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -430,6 +430,29 @@ def test_product_files(tmp_path, capsys):
     assert row["within_bound"] is True
 
 
+@pytest.mark.parametrize("k_text, l_text, complexity", [
+    # both operands hold the swap [1,0]: they are not star-free
+    ("2 2\n0\n1\na: 1 0\nb: 0 0\n", "2 2\n0\n0\na: 1 0\nb: 1 0\n", 5),
+    # a 1-state K of all words: 3m - 2 = 1 is below any non-trivial K L
+    ("1 2\n0\n0\na: 0\nb: 0\n", "2 2\n1\n0\na: 0 0\nb: 1 1\n", 2),
+], ids=["cyclic", "m1"])
+def test_product_files_bound_outside_its_domain(tmp_path, capsys, k_text, l_text, complexity):
+    # the star-free bound applies only to aperiodic operands with m >= 2; the
+    # row carries the complexity alone
+    k_path = tmp_path / "kx.dfa"
+    l_path = tmp_path / "lx.dfa"
+    k_path.write_text(k_text)
+    l_path.write_text(l_text)
+    code, out, err = run(capsys, "product", "--files", str(k_path), str(l_path),
+                         "--format", "json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    (row,) = payload["rows"]
+    assert row["complexity"] == complexity
+    assert "bound" not in row and "within_bound" not in row
+    assert payload["failures"] == []
+
+
 @pytest.mark.parametrize("argv, digest", [
     (("reversal", "--random", "--seed", "1", "--count", "40", "--n", "7"),
      "4bcc7c20bf59f77baf2c539fda57e9cb108700bc6113c8383e04c76b21dd8d2f"),
@@ -466,7 +489,8 @@ def test_experiment_outputs_pinned(capsys, argv, digest):
      "4188ab8d9d5e9ec1d5378e9b66c4bc1214de6dbe4cb82915f62e9f8de83180e5"),
     (("product", "--files", "k.dfa", "l.dfa"),
      "d632a70df5325fa5fda898c7748c9a175f4bd2edb6ce8bd08616f705d0ac5e0c"),
-])
+], ids=["table-max5", "optimize-ui13", "optimize-scti6", "search-n3", "family-ui22-verify",
+        "family-scti222-verify", "family-scti222-emit", "closure-tree6", "product-files"])
 def test_json_outputs_pinned(tmp_path, monkeypatch, capsys, argv, digest):
     # sha256 of each command's JSON, key order kept and timings dropped; the
     # input files get fixed relative names so the paths in the rows are fixed

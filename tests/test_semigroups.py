@@ -1,6 +1,7 @@
 """Closure engine, aperiodicity, forbidden unitary patterns, k-partial counts."""
 
 import hashlib
+import inspect
 import random
 from itertools import combinations, product as iproduct
 
@@ -281,6 +282,53 @@ def test_extend_closure_matches_full_closures():
     tables = [translation_table(g) for g in gens]
     assert extend_closure(base, tables, gens[0]) == set()
     assert extend_closure(base, tables, gens[0], cycle_free[3]) == set()
+
+
+def _random_cycle_free(rng: random.Random, n: int) -> bytes:
+    while True:
+        g = bytes(rng.randrange(n) for _ in range(n))
+        if not has_cycle_images(g):
+            return g
+
+
+def test_extend_closure_default_level_test_matches_per_element_dfs():
+    # the default level test packs 256 // n elements per step; it must give
+    # the per-element DFS verdict on levels longer than one batch, with the
+    # cycles only in the last batch
+    default = inspect.signature(extend_closure).parameters["cycle_free"].default
+
+    def per_element(level):
+        return not any(map(has_cycle_images, level))
+
+    rng = random.Random(22)
+    for n in (7, 8, 9):
+        lanes = 256 // n
+        long_levels = 0
+        while long_levels < 5:
+            gens = [_random_cycle_free(rng, n) for _ in range(2)]
+            s = closure(map(_transformation, gens), element_budget=2000 * n)
+            if s.truncated:
+                continue
+            base = set(s.element_arrays())
+            tables = [translation_table(g) for g in gens]
+            levels = []
+
+            def both(level):
+                levels.append(list(level))
+                assert default(level) == per_element(level)
+                return per_element(level)
+
+            t = _random_cycle_free(rng, n)
+            new = extend_closure(base, tables, t, both)
+            assert extend_closure(base, tables, t) == new
+            for level in levels:
+                free = [p for p in level if not has_cycle_images(p)]
+                cyclic = [p for p in level if has_cycle_images(p)]
+                if len(free) > lanes and cyclic:
+                    long_levels += 1
+                    assert default(free)
+                    for c in cyclic[:3]:  # one cycle, in the last batch
+                        assert not default(free + [c])
 
 
 def test_is_aperiodic():
