@@ -9,7 +9,9 @@ that byte's states to the union of their images, so a step on n <= 8
 states is one lookup and the tables stay small up to the n <= 20 limit.
 ``product_complexity`` counts the classes of the product's subsets and
 builds no ``Dfa``, for callers that need only the state count of
-``product_dfa``.  Everything here runs at desk scale.
+``product_dfa`` (``product --files``; the product experiment runs the
+explorer and refinement over tables of its own).  Everything here runs at
+desk scale.
 """
 
 from __future__ import annotations
@@ -124,16 +126,15 @@ def _union_step(masks: list[int]):
     """The map taking a state mask to the union of ``masks[q]`` over its states q.
 
     Built from one table per byte of the mask; entry b of a byte's table is
-    the union for the states whose bits are set in b.  For n <= 8 the map is
-    the single table's ``__getitem__``.
+    the union for the states whose bits are set in b, doubled state by state
+    (the entries with a state's bit set are those without it, or its mask).
+    For n <= 8 the map is the single table's ``__getitem__``.
     """
     tables = []
     for lo in range(0, len(masks), 8):
-        chunk = masks[lo:lo + 8]
-        table = [0] * (1 << len(chunk))
-        for b in range(1, len(table)):
-            low = b & -b
-            table[b] = table[b ^ low] | chunk[low.bit_length() - 1]
+        table = [0]
+        for mask in masks[lo:lo + 8]:
+            table += [x | mask for x in table]
         tables.append(table)
     if len(tables) == 1:
         return tables[0].__getitem__
@@ -336,14 +337,3 @@ def product_complexity(k_dfa: Dfa, l_dfa: Dfa) -> int:
     n, images, finals = _product_explore(k_dfa, l_dfa)
     return max(_refine(n, images, finals, range(n))) + 1
 
-
-def extend_alphabet(d: Dfa, alphabet: tuple[str, ...]) -> Dfa:
-    """Same language over a larger alphabet: new letters act as the identity."""
-    existing = {lbl: t for lbl, t in zip(d.alphabet, d.delta)}
-    ident = Transformation(tuple(range(d.n)))
-    delta = tuple(existing.get(lbl, ident) for lbl in alphabet)
-    for lbl in d.alphabet:
-        if lbl not in alphabet:
-            raise ValueError(f"extension drops letter {lbl!r}")
-    return Dfa(n=d.n, alphabet=alphabet, delta=delta,
-               initial=d.initial, finals=d.finals)

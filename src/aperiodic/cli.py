@@ -109,6 +109,8 @@ def _load_dfa(path: str):
 
 def _close(d):
     """The DFA's transition semigroup and its aperiodicity, None if truncated."""
+    if not d.alphabet:
+        raise ValueError("the DFA has no letters, so it has no transition semigroup")
     s = transition_semigroup(d, element_budget=default_budget())
     return s, None if s.truncated else is_aperiodic(s)
 
@@ -336,9 +338,10 @@ def cmd_product(args) -> int:
         failures = []
         # the bound holds for star-free operands with m >= 2 (at m = 1,
         # K = all words makes 3m - 2 = 1 too small): both closures complete
-        # and aperiodic (``_close`` gives None when truncated); the 2-state L
-        # is closed first
-        if (k_dfa.n >= 2 and l_dfa.n == 2 and len(l_dfa.finals) == 1
+        # and aperiodic (``_close`` gives None when truncated); operands
+        # without letters (the alphabet is shared) have no semigroup to
+        # close, and the 2-state L is closed first
+        if (k_dfa.n >= 2 and l_dfa.n == 2 and len(l_dfa.finals) == 1 and k_dfa.alphabet
                 and _close(l_dfa)[1] and _close(k_dfa)[1]):
             final_state = next(iter(l_dfa.finals))
             bound = concatenation_bound(k_dfa.n, final_state)

@@ -7,7 +7,11 @@ The sampler closes a draw's letters one at a time with the early-abort
 than a full closure.
 The product run pairs family DFAs (single final state) with the four minimal
 aperiodic 2-state DFAs and checks the concatenation complexity ceilings
-2m + 1 (final state 1) and 3m - 2 (final state 0).
+2m + 1 (final state 1) and 3m - 2 (final state 0).  It builds no DFA per
+product: each family DFA's moves on the encoded product states are lookup
+tables built once and shared by the four 2-state operands, and the state
+count is the class count of ``automata``'s explorer and refinement over
+them.
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ from dataclasses import dataclass
 
 from .automata import (
     Dfa,
-    extend_alphabet,
+    _explore,
+    _refine,
+    _union_step,
     minimize,
-    product_complexity,
     reverse_determinize,
     reverse_steps,
 )
@@ -141,29 +146,18 @@ def reversal_experiment(seed: int, count: int, ns=(2, 3, 4, 5, 6)) -> list[Rever
     return records
 
 
-# The three aperiodic transformations of a 2-state set, by short name.
-_TWO_STATE = {
-    "c1": Transformation((1, 1)),
-    "c0": Transformation((0, 0)),
-    "id": Transformation((0, 1)),
-}
+# The three aperiodic maps of a 2-state set, by short name, as images.
+_TWO_STATE = {"c1": (1, 1), "c0": (0, 0), "id": (0, 1)}
 
-# Minimality needs the constant to 1 (state 1 must be reachable); these are
-# all four aperiodic minimal 2-state DFAs up to relabeling.
+# Minimality needs the constant to 1 (state 1 must be reachable); as DFAs
+# with initial state 0 and one final state, these are all four aperiodic
+# minimal 2-state DFAs up to relabeling.
 TWO_STATE_VARIANTS = (
     ("c1",),
     ("c1", "id"),
     ("c1", "c0"),
     ("c1", "c0", "id"),
 )
-
-
-def two_state_dfa(variant, final_state: int) -> Dfa:
-    """A 2-state DFA over fresh letters u0, u1, ... inducing the variant maps."""
-    delta = tuple(_TWO_STATE[name] for name in variant)
-    alphabet = tuple(f"u{i}" for i in range(len(variant)))
-    return Dfa(n=2, alphabet=alphabet, delta=delta, initial=0,
-               finals=frozenset({final_state}))
 
 
 @dataclass(frozen=True)
@@ -183,41 +177,83 @@ def concatenation_bound(m: int, final_state: int) -> int:
     return 2 * m + 1 if final_state == 1 else 3 * m - 2
 
 
-def product_record(k_dfa: Dfa, family: str, spec: str, variant,
-                   final_state: int) -> ProductRecord:
-    l_dfa = two_state_dfa(variant, final_state)
-    merged = k_dfa.alphabet + l_dfa.alphabet
-    k_ext = extend_alphabet(k_dfa, merged)
-    l_ext = extend_alphabet(l_dfa, merged)
-    complexity = product_complexity(k_ext, l_ext)
+def _variant_complexities(k_dfa: Dfa, final_states) -> dict:
+    """K . L's state complexity for every 2-state variant L and final state of L.
+
+    The count ``product_complexity`` makes over the merged alphabet, where
+    each operand's letters act as the identity on the other, as
+    ``{variant: {final state: complexity}}``.  A product state is a pair
+    (K state k, subset of L's states) encoded as ``l_mask << b | k`` with b
+    the bit length of m - 1, as in ``automata.product_complexity``, and
+    every move is one lookup table over those codes, built once per K: one
+    per letter of K and one per map of L.  Each reachable state holds L's
+    initial state 0 whenever its K state is final, so a letter that is the
+    identity on both operands (K's ``e``, L's ``id``) fixes every reachable
+    state; it adds no state and splits no class, and is left out.  The
+    exploration does not depend on L's final state, so the final states
+    share it.
+    """
     m = k_dfa.n
-    bound = concatenation_bound(m, final_state)
-    return ProductRecord(
-        family=family,
-        spec=spec,
-        m=m,
-        variant="+".join(variant),
-        fl=final_state,
-        complexity=complexity,
-        bound=bound,
-        within_bound=complexity <= bound,
-    )
+    b = (m - 1).bit_length()
+    # the pair entered with K state k: a final k starts a run of L
+    enter = [(1 << b if k in k_dfa.finals else 0) | k for k in range(m)]
+    pad = [0] * ((1 << b) - m)  # codes with k >= m, never reached
+    identity = tuple(range(m))
+    k_tables = []
+    for t in k_dfa.delta:
+        if t.images != identity:
+            entered = [enter[p] for p in t.images] + pad
+            k_tables.append([l_mask << b | code for l_mask in range(4) for code in entered])
+    l_tables = {}
+    for name, images in _TWO_STATE.items():
+        if images != (0, 1):
+            step = _union_step([1 << p for p in images])
+            l_tables[name] = [step(l_mask) << b | code
+                              for l_mask in range(4) for code in enter + pad]
+    complexities: dict[tuple, dict[int, int]] = {}
+    for variant in TWO_STATE_VARIANTS:
+        moves = tuple(name for name in variant if name in l_tables)
+        if moves not in complexities:
+            tables = k_tables + [l_tables[name] for name in moves]
+            successors = list(zip(*tables))  # per code, its successors in letter order
+            order, rows = _explore(enter[k_dfa.initial], successors.__getitem__)
+            images = list(zip(*rows))
+            complexities[moves] = {}
+            for final_state in final_states:
+                finals = {i for i, code in enumerate(order) if code >> (b + final_state) & 1}
+                block = _refine(len(order), images, finals, range(len(order)))
+                complexities[moves][final_state] = max(block) + 1
+        complexities[variant] = complexities[moves]
+    return complexities
+
+
+def _family_dfas(m: int):
+    """(family, spec, DFA) for every ui and scti family DFA with m states."""
+    for dist in enumerate_distributions(m):
+        if not dist.has_adjacent_singletons():
+            yield "ui", str(dist), build_family("ui", dist)
+    for tree in enumerate_structures(m):
+        yield "scti", str(tree), build_family("scti", tree)
 
 
 def family_products(ms=(2, 3, 4, 5), final_states=(0, 1)) -> list[ProductRecord]:
     """All family DFAs of the given sizes against all four 2-state variants."""
     records = []
     for m in ms:
-        k_dfas = []
-        for dist in enumerate_distributions(m):
-            if not dist.has_adjacent_singletons():
-                k_dfas.append(("ui", str(dist), build_family("ui", dist)))
-        for tree in enumerate_structures(m):
-            k_dfas.append(("scti", str(tree), build_family("scti", tree)))
-        for family, spec, k_dfa in k_dfas:
+        for family, spec, k_dfa in _family_dfas(m):
+            complexities = _variant_complexities(k_dfa, final_states)
             for variant in TWO_STATE_VARIANTS:
                 for final_state in final_states:
-                    records.append(
-                        product_record(k_dfa, family, spec, variant, final_state)
-                    )
+                    complexity = complexities[variant][final_state]
+                    bound = concatenation_bound(m, final_state)
+                    records.append(ProductRecord(
+                        family=family,
+                        spec=spec,
+                        m=m,
+                        variant="+".join(variant),
+                        fl=final_state,
+                        complexity=complexity,
+                        bound=bound,
+                        within_bound=complexity <= bound,
+                    ))
     return records

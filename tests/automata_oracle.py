@@ -5,6 +5,8 @@ reversal step, the frontier-list reachability and the dict-based Moore
 refinement with its class-level BFS that those kernels replaced,
 unchanged; test_automata.py compares the library against them.  The
 oracle imports no routine from ``aperiodic.automata``, only its types.
+``extend_alphabet`` builds the operands of the per-record product path
+that the product experiment's shared tables replaced.
 """
 
 from aperiodic.automata import SUBSET_LIMIT, Dfa, MinimalityReport
@@ -251,3 +253,15 @@ def check_complement_identity(d: Dfa, rng: SplitMix64, words: int = 100) -> bool
             if cp != full ^ p:
                 return False
     return True
+
+
+def extend_alphabet(d: Dfa, alphabet: tuple[str, ...]) -> Dfa:
+    """Same language over a larger alphabet: new letters act as the identity."""
+    existing = {lbl: t for lbl, t in zip(d.alphabet, d.delta)}
+    ident = Transformation(tuple(range(d.n)))
+    delta = tuple(existing.get(lbl, ident) for lbl in alphabet)
+    for lbl in d.alphabet:
+        if lbl not in alphabet:
+            raise ValueError(f"extension drops letter {lbl!r}")
+    return Dfa(n=d.n, alphabet=alphabet, delta=delta,
+               initial=d.initial, finals=d.finals)

@@ -10,7 +10,7 @@ import automata_oracle as oracle
 from aperiodic.automata import (
     SUBSET_LIMIT,
     Dfa,
-    extend_alphabet,
+    _union_step,
     is_minimal,
     minimize,
     parse_dfa,
@@ -213,10 +213,10 @@ def test_families_are_aperiodic():
 
 def test_extend_alphabet():
     d = build_family("ui", parse_distribution("(2)"))
-    bigger = extend_alphabet(d, d.alphabet + ("z",))
+    bigger = oracle.extend_alphabet(d, d.alphabet + ("z",))
     assert bigger.delta[-1] == identity(2)
     with pytest.raises(ValueError):
-        extend_alphabet(d, ("z",))
+        oracle.extend_alphabet(d, ("z",))
 
 
 def _random_dfa(rng: random.Random, n: int, letters: int) -> Dfa:
@@ -270,6 +270,35 @@ def test_multibyte_subset_steps_match_oracle():
         ours, theirs = product_dfa(k_dfa, l_dfa), oracle.product_dfa(k_dfa, l_dfa)
         assert (ours.n, ours.delta, ours.finals) == (theirs.n, theirs.delta, theirs.finals)
         assert product_complexity(k_dfa, l_dfa) == theirs.n
+
+
+def test_identity_letter_leaves_product_complexity_unchanged():
+    # a letter fixing every state of both operands adds no subset and splits
+    # no class: each reachable subset already holds L's initial state when
+    # its K state is final
+    rng = random.Random(11)
+    for _ in range(300):
+        letters = rng.randint(1, 3)
+        k_dfa = _random_dfa(rng, rng.randint(1, 6), letters)
+        l_dfa = _random_dfa(rng, rng.randint(1, 4), letters)
+        merged = k_dfa.alphabet + ("e",)
+        assert (product_complexity(oracle.extend_alphabet(k_dfa, merged),
+                                   oracle.extend_alphabet(l_dfa, merged))
+                == product_complexity(k_dfa, l_dfa))
+
+
+def test_union_step_tables_equal_per_mask_or():
+    rng = random.Random(12)
+    for n in range(1, SUBSET_LIMIT + 1):
+        masks = [rng.randrange(1 << n) for _ in range(n)]
+        step = _union_step(masks)
+        probes = range(1 << n) if n <= 10 else [rng.randrange(1 << n) for _ in range(500)]
+        for mask in probes:
+            union = 0
+            for q in range(n):
+                if mask >> q & 1:
+                    union |= masks[q]
+            assert step(mask) == union
 
 
 def test_product_subset_limit():

@@ -320,6 +320,16 @@ def test_reversal_rejects_bad_input(tmp_path, capsys, monkeypatch):
     assert code == 2 and "APERIODIC_BUDGET" in err
 
 
+@pytest.mark.parametrize("command", [("closure",), ("reversal", "--dfa")],
+                         ids=["closure", "reversal"])
+def test_letterless_dfa_exits_2(tmp_path, capsys, command):
+    dfa_path = tmp_path / "empty.dfa"
+    dfa_path.write_text("2 0\n0\n1\n")
+    code, out, err = run(capsys, *command, str(dfa_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "no letters" in err
+
+
 def _refuse_call(name):
     def refuse(*args, **kwargs):
         raise AssertionError(f"{name} was called")
@@ -435,7 +445,9 @@ def test_product_files(tmp_path, capsys):
     ("2 2\n0\n1\na: 1 0\nb: 0 0\n", "2 2\n0\n0\na: 1 0\nb: 1 0\n", 5),
     # a 1-state K of all words: 3m - 2 = 1 is below any non-trivial K L
     ("1 2\n0\n0\na: 0\nb: 0\n", "2 2\n1\n0\na: 0 0\nb: 1 1\n", 2),
-], ids=["cyclic", "m1"])
+    # no letters: no transition semigroup to close, and K accepts nothing
+    ("3 0\n0\n2\n", "2 0\n0\n1\n", 1),
+], ids=["cyclic", "m1", "letterless"])
 def test_product_files_bound_outside_its_domain(tmp_path, capsys, k_text, l_text, complexity):
     # the star-free bound applies only to aperiodic operands with m >= 2; the
     # row carries the complexity alone

@@ -4,17 +4,21 @@ import hashlib
 
 import pytest
 
+import automata_oracle as oracle
 import rng_oracle as per_draw
-from aperiodic.automata import is_minimal, transition_semigroup
+from aperiodic.automata import Dfa, is_minimal, product_complexity, transition_semigroup
 from aperiodic.experiments import (
+    _TWO_STATE,
     TWO_STATE_VARIANTS,
+    _family_dfas,
+    concatenation_bound,
     family_products,
     random_aperiodic_dfa,
     reversal_experiment,
-    two_state_dfa,
 )
 from aperiodic.rng import BLOCK, SplitMix64
 from aperiodic.semigroups import is_aperiodic
+from aperiodic.transforms import Transformation
 
 
 def test_splitmix_is_deterministic():
@@ -99,6 +103,14 @@ def test_reversal_experiment_small():
         assert rec.complement_unreached
 
 
+def two_state_dfa(variant, final_state: int) -> Dfa:
+    """A 2-state DFA over fresh letters u0, u1, ... inducing the variant maps."""
+    delta = tuple(Transformation(_TWO_STATE[name]) for name in variant)
+    alphabet = tuple(f"u{i}" for i in range(len(variant)))
+    return Dfa(n=2, alphabet=alphabet, delta=delta, initial=0,
+               finals=frozenset({final_state}))
+
+
 def test_two_state_variants_are_minimal():
     for variant in TWO_STATE_VARIANTS:
         for final_state in (0, 1):
@@ -114,3 +126,25 @@ def test_family_products_small():
         assert rec.within_bound, rec
     # both bound regimes exercised
     assert {rec.fl for rec in records} == {0, 1}
+
+
+def test_family_products_match_per_record_path():
+    # each record as one product_complexity call on K and L with the
+    # alphabet merged, each operand's letters the identity on the other
+    for m in (2, 3, 4, 5):
+        expected = []
+        for family, spec, k_dfa in _family_dfas(m):
+            for variant in TWO_STATE_VARIANTS:
+                for final_state in (0, 1):
+                    l_dfa = two_state_dfa(variant, final_state)
+                    merged = k_dfa.alphabet + l_dfa.alphabet
+                    complexity = product_complexity(oracle.extend_alphabet(k_dfa, merged),
+                                                    oracle.extend_alphabet(l_dfa, merged))
+                    bound = concatenation_bound(m, final_state)
+                    expected.append((family, spec, m, "+".join(variant), final_state,
+                                     complexity, bound, complexity <= bound))
+        records = family_products(ms=(m,), final_states=(0, 1))
+        assert [tuple(vars(rec).values()) for rec in records] == expected
+        for final_state in (0, 1):  # one final state alone gives the same records
+            assert family_products(ms=(m,), final_states=(final_state,)) == [
+                rec for rec in records if rec.fl == final_state]
