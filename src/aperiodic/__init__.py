@@ -12,9 +12,6 @@ from .transforms import (
     constant,
     has_cycle,
     identity,
-    is_monotonic,
-    is_nondecreasing,
-    is_partially_monotonic,
     semiconstant,
     unitary,
 )
@@ -23,7 +20,6 @@ from .semigroups import (
     Semigroup,
     UnitaryVerdict,
     closure,
-    count_k_partial,
     is_aperiodic,
     is_transition_complete,
     unitary_generator_check,
@@ -51,7 +47,6 @@ from .families import (
     node,
     parse_distribution,
     parse_structure,
-    semiconstant_sum,
 )
 from .combinatorics import (
     bipath_k_partial,
@@ -66,7 +61,7 @@ from .combinatorics import (
     unitary_family_size,
 )
 from .optimizer import max_sctree, max_unitary
-from .search import max_aperiodic, verify_maximal_known
+from .search import max_aperiodic
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -84,17 +84,24 @@ def parse_dfa(text: str) -> Dfa:
         n, k = int(head[0]), int(head[1])
     except ValueError:
         fail(0, "expected two integers")
+    if n < 1:
+        fail(0, f"the state count must be at least 1, got {n}")
     if k < 0:
         fail(0, f"the letter count must be at least 0, got {k}")
     try:
         initial = int(lines[1])
     except ValueError:
         fail(1, "expected the initial state")
+    if not 0 <= initial < n:
+        fail(1, f"initial state {initial} is outside [0, {n - 1}]")
     finals_line = lines[2].split()
     try:
         finals = frozenset(int(tok) for tok in finals_line)
     except ValueError:
         fail(2, "expected space-separated final states")
+    for q in sorted(finals):
+        if not 0 <= q < n:
+            fail(2, f"final state {q} is outside [0, {n - 1}]")
     if len(lines) < 3 + k:
         raise ValueError(f"expected {k} letter lines, found {len(lines) - 3}")
     alphabet, delta = [], []
@@ -102,14 +109,20 @@ def parse_dfa(text: str) -> Dfa:
         if ":" not in lines[i]:
             fail(i, "expected 'label: p0 p1 ...'")
         lbl, _, rest = lines[i].partition(":")
+        lbl = lbl.strip()
         try:
             images = tuple(int(tok) for tok in rest.split())
         except ValueError:
             fail(i, "expected integer images")
         if len(images) != n:
             fail(i, f"expected {n} images, got {len(images)}")
-        alphabet.append(lbl.strip())
-        delta.append(Transformation(images))
+        try:
+            delta.append(Transformation(images))
+        except ValueError as exc:
+            fail(i, str(exc))
+        if lbl in alphabet:
+            fail(i, f"duplicate letter label {lbl!r}")
+        alphabet.append(lbl)
     for i in range(3 + k, len(lines)):
         if lines[i].strip():
             fail(i, f"unexpected text after the {k} letter lines")

@@ -298,35 +298,6 @@ def build_family(kind: str, spec) -> Dfa:
     )
 
 
-def semiconstant_sum(a: Dfa, b: Dfa) -> Dfa:
-    """Join two DFAs: all unitary A-to-B moves plus one constant to A's start.
-
-    B's states are shifted after A's.  A's letters act as the identity on B's
-    states and vice versa; letter labels get "L:"/"R:" prefixes, the cross
-    unitaries are "a_{p,q}" and the constant is "c".  Initial is A's initial,
-    finals are B's (shifted).
-    """
-    na, nb = a.n, b.n
-    n = na + nb
-    letters: list[tuple[str, Transformation]] = []
-    for lbl, t in zip(a.alphabet, a.delta):
-        letters.append((f"L:{lbl}", Transformation(t.images + tuple(range(na, n)))))
-    for lbl, t in zip(b.alphabet, b.delta):
-        shifted = tuple(range(na)) + tuple(p + na for p in t.images)
-        letters.append((f"R:{lbl}", Transformation(shifted)))
-    for p in range(na):
-        for q in range(na, n):
-            letters.append((f"a_{{{p},{q}}}", unitary(n, p, q)))
-    letters.append(("c", semiconstant(n, range(n), a.initial)))
-    return Dfa(
-        n=n,
-        alphabet=tuple(lbl for lbl, _ in letters),
-        delta=tuple(t for _, t in letters),
-        initial=a.initial,
-        finals=frozenset(q + na for q in b.finals),
-    )
-
-
 def enumerate_distributions(n: int):
     """Yield all distributions of n in lexicographic part order."""
     if n < 1:

@@ -182,41 +182,7 @@ def any_cycle_images(arrays, n: int) -> bool:
 def has_cycle(t: Transformation) -> bool:
     """True iff t permutes some subset of size >= 2 cyclically.
 
-    Equivalent to t^n != t^(n+1); the power form is kept as a test oracle.
+    A depth-first walk of t's functional graph (``has_cycle_images``) that
+    looks for a cycle other than a fixed point.
     """
     return has_cycle_images(t.images)
-
-
-def is_monotonic(t: Transformation) -> bool:
-    """True iff p <= q implies t(p) <= t(q), in the usual integer order."""
-    im = t.images
-    return all(im[q] <= im[q + 1] for q in range(t.n - 1))
-
-
-def is_nondecreasing(t: Transformation) -> bool:
-    """True iff q <= t(q) for every state q."""
-    return all(q <= p for q, p in enumerate(t.images))
-
-
-def is_partially_monotonic(t: Transformation) -> bool:
-    """Membership test for order-preserving partial maps encoded totally.
-
-    State n-1 plays the role of the undefined value: t must fix it, and the
-    restriction of t to states whose image is not n-1 must be monotonic.
-    """
-    n = t.n
-    if n < 2:
-        raise ValueError("partial monotonicity needs at least 2 states")
-    box = n - 1
-    im = t.images
-    if im[box] != box:
-        return False
-    last = -1
-    for q in range(box):
-        p = im[q]
-        if p == box:
-            continue
-        if p < last:
-            return False
-        last = p
-    return True

@@ -84,6 +84,16 @@ def test_parse_dfa_errors_cite_lines():
     with pytest.raises(ValueError) as err:  # nor read as no letters at all
         parse_dfa("2 -1\n0\n1\n")
     assert "line 1" in str(err.value)
+    for text, line in [
+        ("0 1\n0\n\na:\n", "line 1"),  # no states
+        ("2 0\n3\n1\n", "line 2"),  # initial state out of range
+        ("2 0\n0\n1 4\n", "line 3"),  # final state out of range
+        ("2 1\n0\n1\na: 0 5\n", "line 4"),  # image out of range
+        ("2 2\n0\n1\na: 1 1\na: 0 0\n", "line 5"),  # repeated label
+    ]:
+        with pytest.raises(ValueError) as err:
+            parse_dfa(text)
+        assert line in str(err.value), text
 
 
 def test_is_minimal_families():

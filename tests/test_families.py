@@ -20,7 +20,6 @@ from aperiodic.families import (
     leaf,
     parse_distribution,
     parse_structure,
-    semiconstant_sum,
     type1_generators,
     type2_generators,
     type3_generators,
@@ -29,6 +28,12 @@ from aperiodic.semigroups import closure, is_aperiodic
 from aperiodic.transforms import Transformation, identity, unitary
 
 from reference_tables import STRUCTURE_COUNTS
+from size_oracle import (
+    is_monotonic,
+    is_nondecreasing,
+    is_partially_monotonic,
+    semiconstant_sum,
+)
 
 
 def test_distribution_basics():
@@ -249,8 +254,6 @@ def _closure_images(kind, spec):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_family_semigroups_as_transformation_classes(n):
     """The three classical families generate exactly their transformation class."""
-    from aperiodic.transforms import is_monotonic, is_nondecreasing, is_partially_monotonic
-
     everything = [Transformation(images) for images in product(range(n), repeat=n)]
     monotonic = {x.images for x in everything if is_monotonic(x)}
     assert _closure_images("ui", parse_distribution(f"({n})")) == monotonic

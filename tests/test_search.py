@@ -6,8 +6,10 @@ import random
 import pytest
 
 from aperiodic import search, semigroups
+from aperiodic.combinatorics import nearly_monotonic_size
+from aperiodic.families import build_family
 from aperiodic.optimizer import max_sctree
-from aperiodic.search import max_aperiodic, verify_maximal_known
+from aperiodic.search import max_aperiodic
 from aperiodic.semigroups import (
     aperiodic_transformations,
     closure,
@@ -175,29 +177,22 @@ def test_checkpoint_rejects_foreign_or_false_lines(tmp_path):
             max_aperiodic(2, seed_with_family=False, checkpoint_path=str(path))
 
 
-def test_verify_maximal_known(monkeypatch):
-    calls = []
-
-    def counting_closure(*args, **kwargs):
-        calls.append(args)
-        return closure(*args, **kwargs)
-
-    monkeypatch.setattr(search, "closure", counting_closure)
-    verify_maximal_known(3)
-    assert len(calls) == 1  # the witness is closed once; the search is unseeded
-    monkeypatch.undo()
+def test_search_and_scti_witness_agree_up_to_4():
     for n in (1, 2, 3):
-        report = verify_maximal_known(n)
-        assert report.consistent
-        assert report.search_size == APERIODIC_KNOWN[n]
-        assert report.sctree_certified
-    report4 = verify_maximal_known(4, max_products=100_000, max_seconds=20)
-    assert report4.search_size == 47
-    assert report4.sctree_certified
-    assert report4.nearly_monotonic_top == 41
-    assert report4.consistent
-    with pytest.raises(ValueError):
-        verify_maximal_known(5)
+        result = max_aperiodic(n, seed_with_family=False)
+        assert result.exhaustive
+        assert result.size == APERIODIC_KNOWN[n] == max_sctree(n)[0]
+    for n in (1, 2, 3, 4):
+        value, tree = max_sctree(n)
+        s = closure(build_family("scti", tree).delta)
+        assert len(s) == value
+        assert is_aperiodic(s)
+        assert is_transition_complete(s)
+    result4 = max_aperiodic(4, max_products=100_000, max_seconds=20,
+                            seed_with_family=False)
+    assert result4.size == 47 == max_sctree(4)[0]
+    assert not result4.exhaustive
+    assert nearly_monotonic_size(4) == 41
 
 
 def test_witness_generators_close_to_reported_size():

@@ -15,12 +15,11 @@ from aperiodic.transforms import (
     has_cycle,
     has_cycle_images,
     identity,
-    is_monotonic,
-    is_nondecreasing,
-    is_partially_monotonic,
     semiconstant,
     unitary,
 )
+
+from size_oracle import is_monotonic, is_nondecreasing, is_partially_monotonic
 
 
 def t(*images):
