@@ -11,9 +11,7 @@ the tables and tie-breaking are those of the unscreened loops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from math import comb, exp, expm1, inf, log, log1p, pi, sqrt
-from operator import add, le
+from math import ceil, comb, exp, expm1, inf, log, log1p, pi, sqrt
 from typing import NamedTuple
 
 from .combinatorics import bipath_k_partial
@@ -30,6 +28,50 @@ class DpStats(NamedTuple):
 def _cutoff(level: float) -> float:
     """Skip threshold: a log bound below this is provably below exp(level)."""
     return level - 1e-9 * (abs(level) + 1.0)
+
+
+class _LogLanes:
+    """Logs of DP values up to n, rounded up onto the 32-bit lanes of an int.
+
+    A lane holds ceil(scale x) for a log x, with scale = 2^(30 - b) and b
+    the bit length of int(n log n).  Logs of values at most n^n are at most
+    n log n < 2^b, so a lane holding two of them whose sum is at most
+    n log n stays below 2^30 + 2, under the test bit 2^31 (see survivors).
+    """
+
+    def __init__(self, n: int) -> None:
+        self.scale = float(1 << 30 - int(n * log(n)).bit_length())
+        ones = [0] * n  # ones[m]: a 1 in each of the lanes 0..m-1
+        for m in range(1, n):
+            ones[m] = ones[m - 1] << 32 | 1
+        self.ones = ones
+        self.tops = [one << 31 for one in ones]  # their top bits
+
+    def lane(self, x: float) -> int:
+        return ceil(x * self.scale)
+
+    def survivors(self, word: int, m: int, floor: float) -> list[int]:
+        """The r in 1..m, largest first, that may have a + b >= floor, where
+        lane r - 1 of word holds ceil(scale a) + ceil(scale b).
+
+        word fills lanes 0..m-1 only, m < n, each as above, and floor is
+        below 2 n log n.  When the float sum a + b reaches floor, the real
+        one exceeds floor (1 - 2^-53) > floor - 1 / scale, so the lane, an
+        integer at least scale (a + b), is at least fq = int(scale floor).
+        Adding 2^31 - fq to a lane sets its top bit exactly when the lane is
+        at least fq, and carries into no other lane.
+        """
+        fq = int(floor * self.scale) if floor > 0.0 else 0
+        if fq <= 0:
+            return list(range(m, 0, -1))
+        tops = self.tops
+        hits = (word + ((1 << 31) - fq) * self.ones[m]) & tops[m]
+        survivors = []
+        while hits:
+            r = hits.bit_length() >> 5  # lane r - 1's top bit is bit 32r - 1
+            survivors.append(r)
+            hits &= tops[r - 1]
+        return survivors
 
 
 def _bipath_log_bounds(n: int) -> tuple[list[float], ...]:
@@ -147,23 +189,40 @@ class SctiDpTable:
     Split r is A + C with A = values[r+k][s-r] * values[k][r] and
     C = (s-r)(k+1)^(s-r)((k+1)^r - k^r).  The logs a = log A come from float
     logs of the table, kept by anti-diagonal k' + s' so that the a terms of
-    one (s, k) are one contiguous slice; c = log C is exact up to rounding.
+    one (s, k) lie on one diagonal; c = log C is exact up to rounding.
     C(2s-1,s) and k^s lower-bound the leaf, and every split's A + C is
     attained, its log-sum max(a,c) + log1p(exp(-|a-c|)) exact up to rounding.
     Each (s, k) carries a level from the leaf's two bounds and the log-sums
     of two guessed splits: this column's last winner and the winner at
-    (s, k + 1).  One C-level pass drops every split whose a is too
-    small to reach the cutoff below that level even with C at its largest
-    over all splits; the survivors' log-sums then raise the level to their
-    largest.  A split is evaluated exactly only when its log-sum reaches the
-    cutoff below this final level, the leaf only when its bipath log bound
+    (s, k + 1).  A split whose a is below a floor cannot reach the cutoff
+    below that level even with C at its largest over all splits, and is
+    dropped; the survivors' log-sums then raise the level to their largest.
+    A split is evaluated exactly only when its log-sum reaches the cutoff
+    below this final level, the leaf only when its bipath log bound
     (Laplace's, or C(2s-1,s)(k+1)^s where smaller; see _bipath_log_bounds)
     does.  A dropped split lies below the first cutoff, so the final level
     is the largest of the leaf bounds and of all log-sums whatever the
-    guesses were; they only make the pass drop more, and the exact
+    guesses were; they only make the filter drop more, and the exact
     evaluations, tables and stats do not depend on them.  stats counts the
     candidates (leaf and splits of every (s, k)) and the exact evaluations
     among them.
+
+    The floor is tested on packed ints first (_LogLanes): one per
+    anti-diagonal d, whose lane k' holds the log of values[k'][d-k'], and
+    one for the current column k, whose lane r - 1 holds that of
+    values[k][r].  A finished cell ORs its log into both.  Cells run with k
+    descending and s ascending, so at (s, k) exactly the diagonal's lanes
+    k+1..d-1 and the column's lanes 0..s-2 are filled: one shift and one
+    add line up every split's a, and a few big-int operations find the
+    lanes that may reach the floor.  The float test then runs on those
+    alone; as the packed test keeps every split that the float test keeps,
+    the survivors are exactly the float test's.  The lanes have room:
+    values[k][s] <= (s+k)^s, since m_bi(s,k) <= sum over h of C(s,h)
+    k^(s-h) s^h = (s+k)^s as C(s+h-1,h) <= s^h, and by the mean value
+    theorem (k+1)^r - k^r <= r(k+1)^(r-1) and (s+k)^r - (r+k)^r >=
+    r(s-r)(r+k)^(r-1), which keep A + C <= (s+k)^s.  So every log is at most
+    s log(s+k), every a at most s log n <= n log n, and the floor, below the
+    log-sum of an attained value, is below 2 n log n, as _LogLanes needs.
     """
 
     n: int
@@ -178,6 +237,8 @@ class SctiDpTable:
         logc, log1, slope, corr, half_log = _bipath_log_bounds(n)
         log_k = [-inf] + [log(k) for k in range(1, n + 1)]
         diagonal = [[0.0] * (d + 1) for d in range(n + 1)]  # [k'+s'][k']
+        lanes = _LogLanes(n)
+        packed_diag = [0] * (n + 1)  # [k'+s'], lane k': log values[k'][s']
         values: list[tuple[int, ...]] = [()] * (n + 1)
         split: list[tuple[int, ...]] = [()] * (n + 1)
         prev_scol: tuple[int, ...] = ()
@@ -195,19 +256,29 @@ class SctiDpTable:
             shrink = -log1p(1 / k) if k else -inf  # log(k / (k+1))
             # lq[r] = log(1 - (k/(k+1))^r)
             lq = [-inf] + [log(-expm1(r * shrink)) for r in range(1, s_max)]
+            packed_col = 0  # lane r - 1: log values[k][r]
             for s in range(1, s_max + 1):
-                considered += s
-                diag = diagonal[s + k]  # diag[k + r] = log values[r + k][s - r]
+                d = s + k
+                diag = diagonal[d]  # diag[k + r] = log values[r + k][s - r]
                 c_top = s * log1[k]
                 # attained level: the leaf's lower bounds and the log-sums of
                 # this column's last winner and the winner at k + 1
                 level = max(logc[s], s * log_k[k])
-                for g in (scol[s - 1], prev_scol[s] if s < len(prev_scol) else 0):
-                    if 0 < g < s:
-                        ag = diag[k + g] + lcol[g]
-                        cg = log_k[s - g] + c_top + lq[g]
-                        level = max(level, max(ag, cg) + log1p(exp(-abs(ag - cg))))
-                cut = _cutoff(level)
+                g = scol[s - 1]
+                if g:
+                    ag = diag[k + g] + lcol[g]
+                    cg = log_k[s - g] + c_top + lq[g]
+                    lg = ag + log1p(exp(cg - ag)) if ag > cg else cg + log1p(exp(ag - cg))
+                    if lg > level:
+                        level = lg
+                g = prev_scol[s] if s < s_max else 0
+                if g:
+                    ag = diag[k + g] + lcol[g]
+                    cg = log_k[s - g] + c_top + lq[g]
+                    lg = ag + log1p(exp(cg - ag)) if ag > cg else cg + log1p(exp(ag - cg))
+                    if lg > level:
+                        level = lg
+                cut = level - 1e-9 * (level + 1.0)  # _cutoff, as level >= 0
                 # C = (s-r)(k+1)^s (1 - (k/(k+1))^r) <= (k+1)^s min(s-1, s^2/(4k+4))
                 # =: e^c_max for every r, as 1 - q^r <= r(1-q); so a < floor
                 # gives log(A + C) <= log(e^a + e^c_max) < cut
@@ -215,22 +286,25 @@ class SctiDpTable:
                 floor = cut + log(-expm1(c_max - cut)) if c_max < cut else -inf
                 top = level
                 bounds = []
-                for r in compress(range(1, s), map(le, repeat(floor),
-                                                   map(add, diag[k + 1:k + s], lcol[1:s]))):
+                for r in lanes.survivors(
+                        (packed_diag[d] >> 32 * k + 32) + packed_col, s - 1, floor):
                     ar = diag[k + r] + lcol[r]
+                    if ar < floor:  # the float test; the packed one keeps more
+                        continue
                     cr = log_k[s - r] + c_top + lq[r]
-                    bound = max(ar, cr) + log1p(exp(-abs(ar - cr)))
+                    bound = ar + log1p(exp(cr - ar)) if ar > cr else cr + log1p(exp(ar - cr))
                     bounds.append((r, bound))
                     if bound > top:
                         top = bound
-                cut = _cutoff(top)
+                cut = top - 1e-9 * (top + 1.0)
                 best = None
-                if min(logc[s] + s * log1[k],
-                       s * slope[k] + min(0.0, corr[k] - half_log[s])) >= cut:
+                c = corr[k] - half_log[s]  # min(0, c) without the call
+                if (logc[s] + s * log1[k] >= cut
+                        and s * slope[k] + (c if c < 0.0 else 0.0) >= cut):
                     exact += 1
                     best = bipath_k_partial(s, k)
                     best_r = 0
-                for r, bound in reversed(bounds):  # left size s - r ascending
+                for r, bound in bounds:  # left size s - r ascending
                     if bound < cut:
                         continue
                     exact += 1
@@ -243,8 +317,12 @@ class SctiDpTable:
                         best = candidate
                         best_r = r
                 vcol[s] = best
-                lcol[s] = diagonal[s + k][k] = log(best)
+                lcol[s] = diag[k] = log_best = log(best)
                 scol[s] = best_r
+                lane = lanes.lane(log_best)
+                packed_col |= lane << 32 * s - 32
+                packed_diag[d] |= lane << 32 * k
+            considered += s_max * (s_max + 1) // 2
             values[k] = tuple(vcol)
             split[k] = prev_scol = tuple(scol)
         return cls(n, tuple(values), tuple(split), DpStats(considered, exact))

@@ -1,7 +1,8 @@
 """Maximization DPs against the brute-force oracle and known values."""
 
 import hashlib
-from math import comb, isclose, log, pi, sqrt
+import random
+from math import comb, inf, isclose, log, nextafter, pi, sqrt
 
 import pytest
 
@@ -18,6 +19,7 @@ from aperiodic.families import Distribution, leaf, parse_structure
 from aperiodic.optimizer import (
     DpStats,
     _bipath_log_bounds,
+    _LogLanes,
     SctiDpTable,
     UiDpTable,
     max_sctree,
@@ -124,6 +126,49 @@ def test_screening_stats():
     scti = SctiDpTable.compute(200)
     assert scti.stats.considered == sum(s * (201 - s) for s in range(1, 201))
     assert scti.stats == DpStats(1353400, 40459)
+
+
+def test_scti_values_fit_the_lanes():
+    # the lane headroom of _LogLanes rests on values[k][s] <= (s+k)^s
+    table = SctiDpTable.compute(60)
+    for k, column in enumerate(table.values):
+        for s in range(1, len(column)):
+            assert column[s] <= (s + k) ** s
+
+
+@pytest.mark.parametrize("n", [2, 3, 60, 200, 500])
+def test_packed_survivors_keep_the_float_survivors(n):
+    # lane r - 1 packs logs a, b with a + b <= n log n, as in SctiDpTable;
+    # every r with a + b >= floor in floats must survive, and any other
+    # survivor lies within the lanes' rounding of floor
+    lanes = _LogLanes(n)
+    rng = random.Random(2500 + n)
+    half = n * log(n) / 2
+    unit = 1 / lanes.scale
+    for m in sorted({0, 1, min(2, n - 1), n - 1, *rng.sample(range(n), min(n, 8))}):
+        for _ in range(20):
+            a = [rng.uniform(0.0, half) for _ in range(m)]
+            b = [rng.uniform(0.0, half) for _ in range(m)]
+            if rng.random() < 0.5:  # on the lanes' grid, where rounding shows
+                a = [round(x * lanes.scale) * unit for x in a]
+                b = [round(x * lanes.scale) * unit for x in b]
+            if m and rng.random() < 0.3:  # the smallest and largest lane sums
+                a[0] = b[0] = 0.0
+                a[-1] = b[-1] = half
+            word = sum((lanes.lane(x) + lanes.lane(y)) << 32 * r
+                       for r, (x, y) in enumerate(zip(a, b)))
+            sums = [x + y for x, y in zip(a, b)]
+            floors = [-inf, 0.0, 2.0 ** -41, unit / 2, unit, 2 * half,
+                      nextafter(4 * half, 0.0), rng.uniform(0.0, 2 * half)]
+            for total in rng.sample(sums, min(m, 3)):
+                floors += [total, nextafter(total, inf), nextafter(total, 0.0)]
+            for floor in floors:
+                kept = lanes.survivors(word, m, floor)
+                assert kept == sorted(kept, reverse=True)
+                assert set(kept) <= set(range(1, m + 1))
+                assert {r for r in range(1, m + 1) if sums[r - 1] >= floor} <= set(kept)
+                for r in kept:
+                    assert sums[r - 1] > floor - 4 * unit
 
 
 @pytest.mark.parametrize("table, digest", [
