@@ -245,11 +245,15 @@ class SctiDpTable:
         considered = exact = 0
         for k in range(n - 1, -1, -1):
             s_max = n - k
-            pow_k = [1] * (s_max + 1)
-            pow_k1 = [1] * (s_max + 1)
+            # C = lterm[s-r] * dterm[r]: lterm[l] = l (k+1)^l, dterm[r] = (k+1)^r - k^r
+            lterm = [0] * (s_max + 1)
+            dterm = [0] * (s_max + 1)
+            pow_k = pow_k1 = 1
             for e in range(1, s_max + 1):
-                pow_k[e] = pow_k[e - 1] * k
-                pow_k1[e] = pow_k1[e - 1] * (k + 1)
+                pow_k *= k
+                pow_k1 *= k + 1
+                lterm[e] = e * pow_k1
+                dterm[e] = pow_k1 - pow_k
             vcol = [0] * (s_max + 1)
             lcol = [0.0] * (s_max + 1)
             scol = [0] * (s_max + 1)
@@ -308,11 +312,7 @@ class SctiDpTable:
                     if bound < cut:
                         continue
                     exact += 1
-                    lsize = s - r
-                    candidate = (
-                        values[r + k][lsize] * vcol[r]
-                        + lsize * pow_k1[lsize] * (pow_k1[r] - pow_k[r])
-                    )
+                    candidate = values[r + k][s - r] * vcol[r] + lterm[s - r] * dterm[r]
                     if best is None or candidate > best:
                         best = candidate
                         best_r = r

@@ -31,7 +31,7 @@ from itertools import permutations
 from .families import build_family
 from .optimizer import max_sctree
 from .semigroups import CycleFreeCandidates, Semigroup, closure, is_aperiodic
-from .transforms import Transformation, translation_table
+from .transforms import Transformation, has_cycle_images, translation_table
 
 DEFAULT_MAX_PRODUCTS = 1_000_000_000
 DEFAULT_MAX_SECONDS = 3600.0
@@ -43,9 +43,12 @@ MAX_SEARCH_N = 7
 def _read_checkpoint(path: str, header: str, n: int):
     """Branches stored in a checkpoint, or None when there is none yet.
 
-    Each branch is (first generator, closure of its best witness); the
-    witness is re-closed, so a stored size that does not hold is an error
-    rather than a reported value.
+    Each branch is (first generator, closure of its best witness).  A line
+    must name a branch the search makes, an orbit-minimal cycle-free array
+    of n not named before, and a witness that a path of that branch
+    produces: it starts with the prefix and ascends in the candidate
+    (lexicographic) order.  The witness is re-closed, so a stored size that
+    does not hold is an error rather than a reported value.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -58,17 +61,34 @@ def _read_checkpoint(path: str, header: str, n: int):
     if lines[0][1] != header:
         raise ValueError(f"checkpoint {path} was written for {lines[0][1]!r}, "
                          f"not for this run ({header!r})")
-    branches = []
+    branches, roots = [], set()
     for number, line in lines[1:]:
+        where = f"checkpoint {path} line {number}"
         try:
             prefix, size, *witness = line.split()
-            s = closure([Transformation.from_text(g) for g in witness])
+            root = Transformation.from_text(prefix)
+            gens = [Transformation.from_text(g) for g in witness]
         except ValueError as exc:
-            raise ValueError(f"checkpoint {path} line {number}: {exc}") from None
-        if s.n != n or str(len(s)) != size or not is_aperiodic(s):
-            raise ValueError(f"checkpoint {path} line {number}: the witness does not "
-                             f"close to an aperiodic semigroup of size {size} on {n} states")
-        branches.append((prefix, s))
+            raise ValueError(f"{where}: {exc}") from None
+        if (root.n != n or has_cycle_images(root.images)
+                or not _orbit_minimal(bytes(root.images), n)):
+            raise ValueError(f"{where}: the prefix {prefix} is not an orbit-minimal "
+                             f"cycle-free array of {n} states")
+        if root in roots:
+            raise ValueError(f"{where}: the prefix {prefix} repeats an earlier line")
+        if not gens or gens[0] != root:
+            raise ValueError(f"{where}: the witness does not start with the prefix {prefix}")
+        if any(a.images >= b.images for a, b in zip(gens, gens[1:])):
+            raise ValueError(f"{where}: the witness does not ascend in the candidate order")
+        try:
+            s = closure(gens)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if str(len(s)) != size or not is_aperiodic(s):
+            raise ValueError(f"{where}: the witness does not close to an aperiodic "
+                             f"semigroup of size {size} on {n} states")
+        roots.add(root)
+        branches.append((str(root), s))
     return branches
 
 
@@ -119,10 +139,12 @@ def max_aperiodic(
     relabeling).  A checkpoint file lets an interrupted
     run resume: a header line with n, the seed flag and the candidate count,
     then one line per fully explored first-generator branch holding the
-    branch's best size and witness, e.g. ``[0,0,1] 10 [0,0,1] [1,1,1]``.  A
+    branch's best size and witness, e.g. ``[0,0,1] 3 [0,0,1] [1,1,1]``.  A
     resumed run skips the stored branches and counts their results as found
-    (``distinct_maxima`` then holds one closure per stored branch); a header
-    that does not match the run is a ``ValueError``, and so are n outside
+    (``distinct_maxima`` then holds one closure per stored branch).  A header
+    that does not match the run is a ``ValueError``, and so is a branch line
+    that no run writes (``_read_checkpoint``; a stored size is re-closed but
+    not re-searched, so it is trusted to be its branch's best), n outside
     1..``MAX_SEARCH_N``, ``max_products`` below 1 and ``max_seconds`` not
     above 0 (``nan`` included).
     """

@@ -18,7 +18,7 @@ s(p), which sit together one level down, and level 1, the children of the
 empty word, by every generator: the reduced-word deduction of Froidure and
 Pin (1997) without their Cayley graphs.  The 126,123-element closure of
 ``((3,3),2)`` makes 157,633 products, and the 1,269,115-element closure
-of the 9-state ``(((2,2),3),2)`` takes about 2 s of CPU (2-core x86-64,
+of the 9-state ``(((2,2),3),2)`` takes about 1.5 s of CPU (2-core x86-64,
 Python 3.11).
 ``extend_closure`` adds one generator t to a closed set, its first level
 being t and base * t less the base, and stops at the first level holding
@@ -117,15 +117,15 @@ def closure(generators, element_budget: int = DEFAULT_ELEMENT_BUDGET) -> Semigro
     if element_budget < n * len(gen_bytes):
         raise ValueError("element budget too small to hold the generators")
 
-    # per level: ``last[i]`` is the generator index of the last letter of
-    # element i, ``suffix[i]`` the index of s(i) one level up, and
-    # ``kids[s]`` the index here of the first child of element s one level
-    # up; level 1 holds the children of the empty word, which is the suffix
-    # of each of them.
-    tables = [translation_table(g) for g in gen_bytes]
+    # per level: ``ctab[i]`` is the translation table of the last letter of
+    # element i (one of the generators' tables, shared, not copied),
+    # ``suffix[i]`` the index of s(i) one level up, and ``kids[s]`` the
+    # index here of the first child of element s one level up; level 1
+    # holds the children of the empty word, which is the suffix of each of
+    # them.
     level, seen = gen_bytes, set(gen_bytes)
-    last, suffix = array("I", range(len(level))), array("I", [0]) * len(level)
-    kids = array("I", (0, len(level)))
+    ctab = [translation_table(g) for g in gen_bytes]
+    suffix, kids = array("I", [0]) * len(level), array("I", (0, len(level)))
     order, room, products, truncated = [], element_budget // n, 0, False
     add = seen.add
     while level:
@@ -137,18 +137,19 @@ def closure(generators, element_budget: int = DEFAULT_ELEMENT_BUDGET) -> Semigro
             break
         order += level
         nxt, nxt_suffix, level_kids = [], array("I"), array("I")
+        push, push_suffix, push_kid = nxt.append, nxt_suffix.append, level_kids.append
         for p, s in zip(level, suffix):
-            level_kids.append(len(nxt))
+            push_kid(len(nxt))
             children = range(kids[s], kids[s + 1])  # the children of s(p)
             products += len(children)
             for j in children:
-                q = p.translate(tables[last[j]])
+                q = p.translate(ctab[j])
                 if q not in seen:
                     add(q)
-                    nxt.append(q)
-                    nxt_suffix.append(j)  # s(p * t) is the child j of s(p)
-        level_kids.append(len(nxt))
-        last = array("I", map(last.__getitem__, nxt_suffix))
+                    push(q)
+                    push_suffix(j)  # s(p * t) is the child j of s(p)
+        push_kid(len(nxt))
+        ctab = list(map(ctab.__getitem__, nxt_suffix))
         level, suffix, kids = nxt, nxt_suffix, level_kids
     gen_ts = tuple(Transformation(tuple(b)) for b in gen_bytes)
     return Semigroup(n, gen_ts, order, seen, truncated, products)

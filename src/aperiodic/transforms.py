@@ -145,9 +145,10 @@ def translation_table(images: bytes) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _lane_shifts(n: int) -> tuple[bytes, ...]:
-    """Translation tables adding j*n to a state, one per byte lane j."""
-    return tuple(_IDENTITY[j * n:] + _IDENTITY[:j * n] for j in range(256 // n))
+def _lane_offsets(n: int) -> tuple[int, int]:
+    """The lane count 256 // n and the integer whose byte i is (i // n) * n."""
+    lanes = 256 // n
+    return lanes, int.from_bytes(bytes(j * n for j in range(lanes) for _ in range(n)), "little")
 
 
 def any_cycle_images(arrays, n: int) -> bool:
@@ -156,22 +157,26 @@ def any_cycle_images(arrays, n: int) -> bool:
     Exact power test on up to 256 // n arrays per step.  Array j of a batch
     is shifted into its own lane of states [j*n, (j+1)*n) of one 256-byte
     translation table t, and the unused tail is the identity, which adds
-    only fixed points.  Squaring t (n-1).bit_length() times gives p = t^m
-    with m >= n - 1 in every lane at once.  A cycle-free map has
+    only fixed points.  The shift is one integer add over the joined batch:
+    every byte of lane j gains j*n and stays below (j+1)*n <= 256, so no
+    byte carries into the next.  Squaring t (n-1).bit_length() times gives
+    p = t^m with m >= n - 1 in every lane at once.  A cycle-free map has
     t^m = t^(m+1) from m = n - 1 on and a map with a cycle never does, so
     the batch is cycle-free iff p*t == p.
     """
     if not 1 <= n <= 256:
         raise ValueError("the packed cycle test needs 1 <= n <= 256")
-    shifts = _lane_shifts(n)
-    lanes = len(shifts)
+    lanes, offsets = _lane_offsets(n)
+    full = lanes * n
     squarings = (n - 1).bit_length()
     arrays = iter(arrays)
     while True:
-        packed = b"".join(map(bytes.translate, islice(arrays, lanes), shifts))
-        if not packed:
+        packed = b"".join(islice(arrays, lanes))
+        size = len(packed)
+        if not size:
             return False
-        t = translation_table(packed)
+        shift = offsets if size == full else offsets & ((1 << 8 * size) - 1)
+        t = translation_table((int.from_bytes(packed, "little") + shift).to_bytes(size, "little"))
         p = t
         for _ in range(squarings):
             p = p.translate(p)

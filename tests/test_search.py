@@ -6,6 +6,7 @@ import random
 import pytest
 
 from aperiodic import search, semigroups
+from aperiodic.cli import main
 from aperiodic.combinatorics import nearly_monotonic_size
 from aperiodic.families import build_family
 from aperiodic.optimizer import max_sctree
@@ -175,6 +176,38 @@ def test_checkpoint_rejects_foreign_or_false_lines(tmp_path):
         path.write_text(f"{header}\n{bad}\n")
         with pytest.raises(ValueError, match="line 2"):
             max_aperiodic(2, seed_with_family=False, checkpoint_path=str(path))
+
+
+def _forged_checkpoints(branches: list[str]):
+    """Checkpoint bodies that each hold one line no run of the search writes,
+    with that line's number, built from a true n = 3 unseeded checkpoint."""
+    first, *_ = branches
+    prefix, size, root, *rest = first.split()
+    yield [f"{line.split()[0]} 1 [0,0,0]" for line in branches], 3  # witness not on the branch
+    yield ["garbage 1 [0,0,0]"], 2
+    yield ["[0,1,0] 1 [0,1,0]"], 2  # a relabeling of [0,0,2], not orbit-minimal
+    yield ["[1,0,2] 2 [1,0,2]"], 2  # a cycle
+    yield ["[0,0] 1 [0,0]"], 2  # another n
+    yield [f"{prefix} {size} {root} {' '.join(reversed(rest))}"], 2  # descends
+    yield [f"{prefix} {size} {root} {root} {' '.join(rest)}"], 2  # repeats a generator
+    yield [first, first], 3  # repeats a branch
+    yield [f"{prefix} {size} {root} {' '.join(rest)} [2,0,0,0]"], 2  # mixes state counts
+
+
+def test_checkpoint_rejects_forged_branches(tmp_path, capsys):
+    path = tmp_path / "search.ckpt"
+    max_aperiodic(3, seed_with_family=False, checkpoint_path=str(path))
+    header, *branches = path.read_text().splitlines()
+    for body, number in _forged_checkpoints(branches):
+        text = "\n".join([header, *body]) + "\n"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {number}:"):
+            max_aperiodic(3, seed_with_family=False, checkpoint_path=str(path))
+        code = main(["search", "3", "--no-seed", "--checkpoint", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: checkpoint") and f"line {number}:" in err
+        assert path.read_text() == text
 
 
 def test_search_and_scti_witness_agree_up_to_4():

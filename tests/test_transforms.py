@@ -129,7 +129,7 @@ def _with_two_cycle(rng, n):
     return bytes(images)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 85, 86, 128, 129, 255])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 85, 86, 128, 129, 255, 256])
 def test_packed_cycle_test_matches_has_cycle_images(n):
     rng = random.Random(n)
     maps = [_random_map(rng, n) for _ in range(30)]
