@@ -7,6 +7,9 @@ Subset constructions encode state sets as bitmasks and move them with
 table lookups: per letter, one 256-entry table per byte of the mask maps
 that byte's states to the union of their images, so a step on n <= 8
 states is one lookup and the tables stay small up to the n <= 20 limit.
+``_reverse_explore`` is the reversal's exploration, shared by
+``reverse_determinize`` and the reversal experiment, which counts classes
+on the explored masks and builds no ``Dfa``.
 ``product_complexity`` counts the classes of the product's subsets and
 builds no ``Dfa``, for callers that need only the state count of
 ``product_dfa`` (``product --files``; the product experiment runs the
@@ -192,20 +195,26 @@ def _explore(start, successors):
     return order, rows
 
 
-def reverse_determinize(d: Dfa, *, steps=None) -> tuple[Dfa, tuple[frozenset[int], ...]]:
-    """Determinize the reversed NFA by the subset construction.
+def _reverse_explore(d: Dfa, steps: list):
+    """``_explore`` over the reversal subsets, as state masks, from the start F.
 
-    The start subset is F; a subset accepts when it contains the original
-    initial state.  Returns the subset DFA together with the subset of
-    original states behind each new state.  ``steps`` is ``reverse_steps(d)``
-    when the caller has built it already.
+    ``steps`` is ``reverse_steps(d)``.  Refuses more than ``SUBSET_LIMIT``
+    states before anything is explored.
     """
     if d.n > SUBSET_LIMIT:
         raise ValueError(f"subset construction is limited to {SUBSET_LIMIT} states")
     start = sum(1 << q for q in d.finals)
-    if steps is None:
-        steps = reverse_steps(d)
-    order, rows = _explore(start, lambda mask: [step(mask) for step in steps])
+    return _explore(start, lambda mask: [step(mask) for step in steps])
+
+
+def reverse_determinize(d: Dfa) -> tuple[Dfa, tuple[frozenset[int], ...]]:
+    """Determinize the reversed NFA by the subset construction.
+
+    The start subset is F; a subset accepts when it contains the original
+    initial state.  Returns the subset DFA together with the subset of
+    original states behind each new state.
+    """
+    order, rows = _reverse_explore(d, reverse_steps(d))
     delta = tuple(map(Transformation, zip(*rows)))
     finals = frozenset(i for i, mask in enumerate(order) if mask >> d.initial & 1)
     subsets = tuple(
@@ -228,7 +237,8 @@ class MinimalityReport:
 
 def _reachable_states(d: Dfa) -> list[int]:
     images = [t.images for t in d.delta]
-    return _explore(d.initial, list(zip(*images)).__getitem__)[0]
+    # a DFA without letters has one empty successor row per state
+    return _explore(d.initial, (list(zip(*images)) or [()] * d.n).__getitem__)[0]
 
 
 def _refine(n: int, images, finals, states) -> list[int]:

@@ -116,7 +116,10 @@ def _close(d):
 
 
 def _search_provenance(result) -> str:
-    return "search" if result.exhaustive else "search-bounded"
+    if not result.exhaustive:
+        return "search-bounded"
+    # covered, but the branches read from the checkpoint were trusted, not searched
+    return "search-resumed" if result.resumed else "search"
 
 
 def _table_value(cls: str, n: int, ui_table, scti_table):

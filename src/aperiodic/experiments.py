@@ -1,7 +1,10 @@
 """Seeded reversal and product experiments over aperiodic DFAs.
 
-The reversal run samples aperiodic DFAs, determinizes the reversed NFA and
-checks the 2^n - 1 complexity ceiling plus the subset-complement identity.
+The reversal run samples aperiodic DFAs and checks the 2^n - 1 complexity
+ceiling plus the subset-complement identity.  It builds no DFA per record:
+one exploration of the reversed subsets gives the state complexity, the
+number of distinct subsets left once each is cut down to the DFA's
+reachable states (Brzozowski's reversal argument).
 The sampler closes a draw's letters one at a time with the early-abort
 ``extend_closure``, so most rejected draws cost a few small levels rather
 than a full closure.
@@ -21,10 +24,10 @@ from dataclasses import dataclass
 from .automata import (
     Dfa,
     _explore,
+    _reachable_states,
     _refine,
+    _reverse_explore,
     _union_step,
-    minimize,
-    reverse_determinize,
     reverse_steps,
 )
 from .families import build_family, enumerate_distributions, enumerate_structures
@@ -98,7 +101,10 @@ def _complement_identity(d: Dfa, steps: list, rng: SplitMix64) -> bool:
 
     A reversal step is a preimage map, and preimages commute with complement
     on every complete DFA: a self-check of the subset steps that always holds.
+    A DFA without letters has no step to check and draws nothing.
     """
+    if not steps:
+        return True
     full = (1 << d.n) - 1
     f_mask = 0
     for q in d.finals:
@@ -117,13 +123,19 @@ def _complement_identity(d: Dfa, steps: list, rng: SplitMix64) -> bool:
 
 
 def reversal_record(d: Dfa, rng: SplitMix64) -> ReversalRecord:
-    steps = reverse_steps(d)  # built once for the subset DFA and the complement check
-    subset_dfa, subsets = reverse_determinize(d, steps=steps)
-    complexity = minimize(subset_dfa).n
+    """The reversal's state complexity and self-checks for one DFA.
+
+    Two reversed subsets are equivalent iff they hold the same reachable
+    states of d: a subset accepts w iff it holds d's state on w reversed.
+    """
+    steps = reverse_steps(d)  # shared by the exploration and the complement check
+    masks = set(_reverse_explore(d, steps)[0])
+    reach = sum(1 << q for q in _reachable_states(d))
+    complexity = len({mask & reach for mask in masks})
     bound = 2**d.n - 1
-    complement = frozenset(range(d.n)) - d.finals
+    complement = sum(1 << q for q in range(d.n) if q not in d.finals)
     # aperiodicity forbids reaching the complement of F from F
-    unreached = complement not in subsets
+    unreached = complement not in masks
     return ReversalRecord(
         n=d.n,
         letters=len(d.alphabet),

@@ -114,6 +114,7 @@ class SearchResult:
     products_used: int
     elapsed: float
     distinct_maxima: int = 1
+    resumed: int = 0  # branches read from the checkpoint, trusted rather than searched
 
     def verify(self) -> Semigroup:
         """Re-close the witness and certify size and aperiodicity."""
@@ -141,7 +142,8 @@ def max_aperiodic(
     then one line per fully explored first-generator branch holding the
     branch's best size and witness, e.g. ``[0,0,1] 3 [0,0,1] [1,1,1]``.  A
     resumed run skips the stored branches and counts their results as found
-    (``distinct_maxima`` then holds one closure per stored branch).  A header
+    (``distinct_maxima`` then holds one closure per stored branch) and
+    reports their number as ``resumed``.  A header
     that does not match the run is a ``ValueError``, and so is a branch line
     that no run writes (``_read_checkpoint``; a stored size is re-closed but
     not re-searched, so it is trusted to be its branch's best), n outside
@@ -157,12 +159,6 @@ def max_aperiodic(
     start = time.monotonic()
     deadline = start + max_seconds
     products = 0
-
-    def spend(amount: int) -> bool:
-        """Charge ``amount`` products; False once either budget is spent."""
-        nonlocal products
-        products += amount
-        return products <= max_products and time.monotonic() <= deadline
 
     candidates = CycleFreeCandidates(n)
     arrays = candidates.arrays
@@ -207,16 +203,18 @@ def max_aperiodic(
 
     def extend(base: set, gen_bytes: list, gen_tables: list, last: int) -> bool:
         """DFS over candidate indices greater than ``last``; False on budget."""
+        nonlocal products
         for idx in range(last + 1, len(arrays)):
             cand = arrays[idx]
             if cand in base:
                 continue
-            if not spend(len(base)):
+            products += len(base)
+            if products > max_products or time.monotonic() > deadline:
                 return False
             new = candidates.extension(base, gen_tables, idx)
             if new is None:
                 continue
-            spend(len(new) * (len(gen_tables) + 1))
+            products += len(new) * (len(gen_tables) + 1)
             base.update(new)
             gen_bytes.append(cand)
             gen_tables.append(translation_table(cand))
@@ -257,4 +255,5 @@ def max_aperiodic(
         products_used=products,
         elapsed=time.monotonic() - start,
         distinct_maxima=max(1, len(best_closures)),
+        resumed=len(done_prefixes),
     )

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import automata_oracle as oracle
+from aperiodic import automata
 from aperiodic.automata import (
     SUBSET_LIMIT,
     Dfa,
@@ -20,7 +21,7 @@ from aperiodic.automata import (
     reverse_steps,
     transition_semigroup,
 )
-from aperiodic.experiments import COMPLEMENT_WORDS, _complement_identity
+from aperiodic.experiments import COMPLEMENT_WORDS, _complement_identity, reversal_record
 from aperiodic.families import build_family, enumerate_distributions, \
     enumerate_structures, parse_distribution, parse_structure
 from aperiodic.rng import SplitMix64
@@ -253,6 +254,39 @@ def test_subset_kernels_match_oracle():
         assert (_complement_identity(d, reverse_steps(d), ours)
                 == oracle.check_complement_identity(d, theirs, COMPLEMENT_WORDS))
         assert ours.next64() == theirs.next64()  # the same draws were consumed
+
+
+def test_letterless_dfas_minimize():
+    one = parse_dfa("1 0\n0\n0\n")
+    assert minimize(one) == one
+    report = is_minimal(parse_dfa("2 0\n0\n1\n"))
+    assert not report.minimal and report.unreachable == 1
+
+
+def test_reversal_count_matches_minimized_subset_dfa():
+    # n = 9..20 takes the multi-byte subset steps; a random initial state
+    # leaves many DFAs not accessible, where subsets differing only on
+    # unreachable states are equivalent
+    rng = random.Random(27)
+    for i in range(360):
+        n = rng.randint(9, 20) if i % 4 == 0 else rng.randint(1, 8)
+        d = _random_dfa(rng, n, rng.randint(0, 3))
+        record = reversal_record(d, SplitMix64(i))
+        subset_dfa, subsets = reverse_determinize(d)
+        assert record.complexity == minimize(subset_dfa).n
+        assert record.complement_unreached == (frozenset(range(n)) - d.finals not in subsets)
+
+
+def test_reversal_record_refuses_above_the_subset_limit(monkeypatch):
+    n = SUBSET_LIMIT + 1
+    d = Dfa(n=n, alphabet=("a",), delta=(t(*range(1, n), 0),), initial=0,
+            finals=frozenset({0}))
+
+    def refuse(*args):
+        raise AssertionError("_explore was called")
+    monkeypatch.setattr(automata, "_explore", refuse)
+    with pytest.raises(ValueError, match=f"limited to {SUBSET_LIMIT} states"):
+        reversal_record(d, SplitMix64(1))
 
 
 def test_product_matches_oracle():

@@ -285,6 +285,31 @@ def test_search_provenance_follows_coverage(capsys):
     assert row["exhaustive"] is False and row["provenance"] == "search-bounded"
 
 
+def test_table_cell_beyond_the_scti_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SCTI_CAP", 3)
+    code, out, _ = run(capsys, "table", "--min", "3", "--max", "4",
+                       "--classes", "sc-tree-1", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["value"], r["provenance"]) for r in rows] == [("10", "dp"), ("?", "none")]
+
+
+def test_table_cell_that_raises_is_listed(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("no search today")
+    monkeypatch.setattr(cli, "max_aperiodic", fail)
+    code, out, _ = run(capsys, "table", "--max", "2", "--classes", "monotonic,aperiodic",
+                       "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    rows = {(r["class"], r["n"]): r for r in payload["rows"]}
+    assert rows[("monotonic", 2)]["provenance"] == "formula"  # the other cells still run
+    assert (rows[("aperiodic", 2)]["value"], rows[("aperiodic", 2)]["provenance"]) \
+        == ("?", "error")
+    assert payload["failures"] == ["aperiodic n=1: no search today",
+                                   "aperiodic n=2: no search today"]
+
+
 def test_reversal_random(capsys):
     code, out, _ = run(capsys, "reversal", "--random", "--seed", "1",
                        "--count", "10", "--n", "4", "--format", "json")
@@ -382,13 +407,23 @@ def test_family_refuses_what_the_constructor_refuses(tmp_path, capsys, monkeypat
 
 def test_search_checkpoint_resume_unseeded(tmp_path, capsys):
     ckpt = str(tmp_path / "n3.ckpt")
-    for _ in range(2):
+    # the rerun reads every branch from the file and trusts it, searching none
+    for provenance in ("search", "search-resumed"):
         code, out, _ = run(capsys, "search", "3", "--no-seed", "--checkpoint", ckpt,
                            "--format", "json")
         assert code == 0
         row = json.loads(out)["rows"][0]
         assert row["value"] == "10" and row["exhaustive"] is True
+        assert row["provenance"] == provenance
     assert row["products"] == 0  # every branch came from the checkpoint
+    cut = str(tmp_path / "cut.ckpt")
+    for budget in ("45000", "1"):  # a budget-cut run, then a resumed one cut again
+        code, out, _ = run(capsys, "search", "3", "--no-seed", "--max-products", budget,
+                           "--checkpoint", cut, "--format", "json")
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["exhaustive"] is False and row["provenance"] == "search-bounded"
+        assert len(Path(cut).read_text().splitlines()) > 1  # branches were stored
     code, out, err = run(capsys, "search", "3", "--checkpoint", ckpt)  # seeded run
     assert code == 2
     assert err.startswith("error: checkpoint")

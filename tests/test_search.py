@@ -146,6 +146,17 @@ def test_checkpoint_resume(tmp_path):
     assert _lines(path) == written  # and writes nothing
 
 
+def test_empty_checkpoint_gets_its_header(tmp_path):
+    path = tmp_path / "search.ckpt"
+    path.write_text("")
+    result = max_aperiodic(2, seed_with_family=False, checkpoint_path=str(path))
+    assert result.exhaustive and result.resumed == 0
+    written = _lines(path)
+    assert written[0].startswith("aperiodic-search n=2 seeded=0 ") and len(written) > 1
+    assert max_aperiodic(2, seed_with_family=False, checkpoint_path=str(path)).resumed \
+        == len(written) - 1
+
+
 def test_checkpoint_resume_unseeded(tmp_path):
     path = str(tmp_path / "search.ckpt")
     cut = max_aperiodic(3, seed_with_family=False, max_products=45_000, checkpoint_path=path)

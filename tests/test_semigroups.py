@@ -547,6 +547,15 @@ def test_transition_complete():
     assert not is_transition_complete(closure([unitary(2, 0, 1)]))
 
 
+def test_transition_complete_refuses_undecided_input():
+    truncated = closure(EXAMPLE_GENS, element_budget=6 * 3)
+    assert truncated.truncated
+    with pytest.raises(ValueError, match="truncated"):
+        is_transition_complete(truncated)
+    with pytest.raises(ValueError, match="aperiodic"):
+        is_transition_complete(closure([t(1, 0)]))  # a transposition
+
+
 def test_transition_complete_matches_brute_force():
     # the oracle closes S with every cycle-free c outside S in full; each S is
     # a random stretch of a greedy growth, complete when the growth ran out
