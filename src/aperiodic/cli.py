@@ -36,7 +36,6 @@ from .experiments import (
 )
 from .families import build_family, check_family, parse_distribution, parse_structure
 from .optimizer import SctiDpTable, UiDpTable
-from .rng import SplitMix64
 from .search import DEFAULT_MAX_PRODUCTS, DEFAULT_MAX_SECONDS, max_aperiodic
 from .semigroups import DEFAULT_ELEMENT_BUDGET, MAX_STATES, is_aperiodic
 
@@ -56,6 +55,7 @@ SCTI_CAP = 500
 SEARCH_CAP = 4
 PRODUCT_M_CAP = 7
 REVERSAL_COUNT = 100
+REVERSAL_SEED = 1
 TABLE_SEARCH_PRODUCTS = 200_000
 TABLE_SEARCH_SECONDS = 15.0
 
@@ -289,8 +289,10 @@ def cmd_search(args) -> int:
 def cmd_reversal(args) -> int:
     if (args.dfa is not None) == args.random:
         raise ValueError("choose one of --dfa FILE or --random")
-    if args.dfa is not None and (args.n is not None or args.count is not None):
-        raise ValueError("--n and --count apply to --random only; --dfa reads one DFA")
+    if args.dfa is not None and (args.n is not None or args.count is not None
+                                 or args.seed is not None):
+        raise ValueError("--n, --count and --seed apply to --random only; "
+                         "--dfa reads one DFA")
     count = REVERSAL_COUNT if args.count is None else args.count
     if count < 1:
         raise ValueError("--count needs to be at least 1")
@@ -306,11 +308,15 @@ def cmd_reversal(args) -> int:
             raise ValueError(f"closure of {args.dfa} truncated at {len(s)} elements (budget)")
         if not aperiodic:
             raise ValueError(f"{args.dfa} is not aperiodic; the reversal bounds assume it is")
-        records = [reversal_record(d, SplitMix64(args.seed))]
-    elif args.n is None:
-        records = reversal_experiment(args.seed, count)
+        records = [reversal_record(d)]
+        extra = {}
     else:
-        records = reversal_experiment(args.seed, count, (args.n,))
+        seed = REVERSAL_SEED if args.seed is None else args.seed
+        if args.n is None:
+            records = reversal_experiment(seed, count)
+        else:
+            records = reversal_experiment(seed, count, (args.n,))
+        extra = {"seed": seed}
     rows = []
     failures = []
     for i, rec in enumerate(records):
@@ -321,9 +327,10 @@ def cmd_reversal(args) -> int:
             failures.append(f"instance {i}: complement identity violated")
         if not rec.complement_unreached:
             failures.append(f"instance {i}: complement of F reached from F")
+    extra["violations"] = len(failures)
     columns = ("instance", *(f.name for f in fields(ReversalRecord)))
-    return _emit(args, rows, columns, failures, {"seed": args.seed, "violations": len(failures)},
-                 f"seed: {args.seed}  violations: {len(failures)}")
+    summary = "  ".join(f"{key}: {value}" for key, value in extra.items())
+    return _emit(args, rows, columns, failures, extra, summary)
 
 
 def cmd_product(args) -> int:
@@ -422,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dfa", help="run on one DFA file (or give --random)")
     p.add_argument("--random", action="store_true",
                    help="sample random aperiodic DFAs (or give --dfa)")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, help=f"--random's sampling seed (default {REVERSAL_SEED})")
     p.add_argument("--count", type=int, help=f"DFAs --random samples (default {REVERSAL_COUNT})")
     p.add_argument("--n", type=int, help="fix the --random state count (default: mix of 2..6)")
     add_format(p)

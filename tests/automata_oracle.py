@@ -10,7 +10,6 @@ that the product experiment's shared tables replaced.
 """
 
 from aperiodic.automata import SUBSET_LIMIT, Dfa, MinimalityReport
-from aperiodic.rng import SplitMix64
 from aperiodic.transforms import Transformation
 
 
@@ -237,20 +236,17 @@ def product_dfa(k_dfa: Dfa, l_dfa: Dfa) -> Dfa:
     return minimize(raw)
 
 
-def check_complement_identity(d: Dfa, rng: SplitMix64, words: int = 100) -> bool:
-    """Sampled check that reversal subsets satisfy step(~P, w) = ~step(P, w)."""
+def check_complement_identity(d: Dfa) -> bool:
+    """Exact check that step(~P) = ~step(P) for every reversal subset P and letter.
+
+    Brute force over the subsets ``reverse_determinize`` reaches from F,
+    with the per-bit ``reverse_step``.
+    """
     full = (1 << d.n) - 1
-    f_mask = 0
-    for q in d.finals:
-        f_mask |= 1 << q
-    for _ in range(words):
-        length = rng.below(2 * d.n + 1)
-        word = [rng.below(len(d.alphabet)) for _ in range(length)]
-        p, cp = f_mask, full ^ f_mask
-        for a in word:
-            p = reverse_step(d, p, a)
-            cp = reverse_step(d, cp, a)
-            if cp != full ^ p:
+    for subset in reverse_determinize(d)[1]:
+        mask = sum(1 << q for q in subset)
+        for a in range(len(d.alphabet)):
+            if reverse_step(d, full ^ mask, a) != full ^ reverse_step(d, mask, a):
                 return False
     return True
 

@@ -21,7 +21,7 @@ from aperiodic.automata import (
     reverse_steps,
     transition_semigroup,
 )
-from aperiodic.experiments import COMPLEMENT_WORDS, _complement_identity, reversal_record
+from aperiodic.experiments import _complement_identity, reversal_record
 from aperiodic.families import build_family, enumerate_distributions, \
     enumerate_structures, parse_distribution, parse_structure
 from aperiodic.rng import SplitMix64
@@ -249,11 +249,9 @@ def test_subset_kernels_match_oracle():
         for candidate in (d, subset_dfa):
             assert minimize(candidate) == oracle.minimize(candidate)
             assert is_minimal(candidate) == oracle.is_minimal(candidate)
-        seed = rng.randrange(1 << 30)
-        ours, theirs = SplitMix64(seed), SplitMix64(seed)
-        assert (_complement_identity(d, reverse_steps(d), ours)
-                == oracle.check_complement_identity(d, theirs, COMPLEMENT_WORDS))
-        assert ours.next64() == theirs.next64()  # the same draws were consumed
+        masks = [sum(1 << q for q in subset) for subset in subsets]
+        assert (_complement_identity(d.n, reverse_steps(d), masks)
+                == oracle.check_complement_identity(d))
 
 
 def test_letterless_dfas_minimize():
@@ -271,10 +269,12 @@ def test_reversal_count_matches_minimized_subset_dfa():
     for i in range(360):
         n = rng.randint(9, 20) if i % 4 == 0 else rng.randint(1, 8)
         d = _random_dfa(rng, n, rng.randint(0, 3))
-        record = reversal_record(d, SplitMix64(i))
+        record = reversal_record(d)
         subset_dfa, subsets = reverse_determinize(d)
         assert record.complexity == minimize(subset_dfa).n
         assert record.complement_unreached == (frozenset(range(n)) - d.finals not in subsets)
+        assert record.reachable == len(oracle._reachable_states(d))
+        assert record.complement_identity
 
 
 def test_reversal_record_refuses_above_the_subset_limit(monkeypatch):
@@ -286,7 +286,27 @@ def test_reversal_record_refuses_above_the_subset_limit(monkeypatch):
         raise AssertionError("_explore was called")
     monkeypatch.setattr(automata, "_explore", refuse)
     with pytest.raises(ValueError, match=f"limited to {SUBSET_LIMIT} states"):
-        reversal_record(d, SplitMix64(1))
+        reversal_record(d)
+
+
+def test_complement_identity_is_exact_over_the_explored_subsets():
+    # true on every DFA, with the one-table steps (n <= 8) and the
+    # multi-byte ones (n = 9..20); false once one explored subset's entry,
+    # or its complement's, of one step table is wrong
+    rng = random.Random(28)
+    for i in range(240):
+        n = rng.randint(9, 20) if i % 4 == 0 else rng.randint(1, 8)
+        d = _random_dfa(rng, n, rng.randint(0, 3))
+        masks = automata._reverse_explore(d, reverse_steps(d))[0]
+        assert _complement_identity(n, reverse_steps(d), masks)
+        if n > 8 or not d.alphabet:
+            continue
+        full = (1 << n) - 1
+        for entry in (rng.choice(masks), full ^ rng.choice(masks)):
+            steps = reverse_steps(d)
+            table = steps[rng.randrange(len(steps))].__self__  # n <= 8: one list per letter
+            table[entry] ^= 1 << rng.randrange(n)
+            assert not _complement_identity(n, steps, masks)
 
 
 def test_product_matches_oracle():

@@ -11,11 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import automata_oracle as oracle
 from aperiodic import cli
 from aperiodic.automata import SUBSET_LIMIT
 from aperiodic.cli import main
 from aperiodic.combinatorics import sctree_size, unitary_family_size
+from aperiodic.experiments import random_aperiodic_dfa
 from aperiodic.families import parse_distribution, parse_structure
+from aperiodic.rng import SplitMix64
 from aperiodic.semigroups import MAX_STATES
 
 GOLDEN = Path(__file__).parent / "data" / "golden_table.txt"
@@ -250,6 +253,7 @@ def test_optimize_commands(capsys):
     ("product", "--files", "k.dfa", "l.dfa", "--m", "5", "--fl", "1"),
     ("product", "--files", "k.dfa", "l.dfa", "--m", "9"),
     ("product", "--files", "k.dfa", "l.dfa", "--fl", "0"),
+    ("reversal", "--dfa", "k.dfa", "--seed", "1"),
 ])
 def test_out_of_domain_exits_2(tmp_path, monkeypatch, capsys, argv):
     # every refusal comes before a DFA is closed or a product built
@@ -324,8 +328,12 @@ def test_reversal_single_file(tmp_path, capsys):
     run(capsys, "family", "ui", "(2,1)", "--emit-dfa", str(dfa_path))
     code, out, _ = run(capsys, "reversal", "--dfa", str(dfa_path), "--format", "json")
     assert code == 0
-    row = json.loads(out)["rows"][0]
-    assert row["complexity"] <= 7
+    payload = json.loads(out)
+    row = payload["rows"][0]
+    assert row["reachable"] == 3 and row["complexity"] <= row["bound"] == 7
+    assert "seed" not in payload  # --dfa draws nothing
+    code, out, _ = run(capsys, "reversal", "--dfa", str(dfa_path))
+    assert code == 0 and out.splitlines()[-1] == "violations: 0"
 
 
 def test_reversal_rejects_bad_input(tmp_path, capsys, monkeypatch):
@@ -500,11 +508,41 @@ def test_product_files_bound_outside_its_domain(tmp_path, capsys, k_text, l_text
     assert payload["failures"] == []
 
 
+# sha256 of `reversal --random --seed 1 --count 40 --n N --format json`
+REVERSAL_DIGESTS = {
+    7: "2ca64fdeeebf80dfade1ecaaefdd18a116b975757fc8558fae34281e8921bd5c",
+    8: "a894d0cfbda2e55625556180040b643c624f58570d025aa11122cc1652ddc7c8",
+}
+
+
+@pytest.mark.parametrize("n", (7, 8))
+def test_pinned_reversal_samples_match_oracle(n):
+    # the pinned JSON rebuilt record by record from the per-bit oracle: the
+    # minimized subset DFA's size, the bound on the reachable states, and
+    # both complement checks over the subsets reached from F; the records
+    # draw nothing, so the DFAs are drawn back to back from one stream
+    rng = SplitMix64(1)
+    rows = []
+    for i in range(40):
+        d = random_aperiodic_dfa(n, rng)
+        subset_dfa, subsets = oracle.reverse_determinize(d)
+        reachable = len(oracle._reachable_states(d))
+        complexity = oracle.minimize(subset_dfa).n
+        rows.append({"instance": i, "n": n, "letters": len(d.alphabet),
+                     "reachable": reachable, "complexity": complexity,
+                     "bound": 2**reachable - 1, "within_bound": complexity < 2**reachable,
+                     "complement_identity": oracle.check_complement_identity(d),
+                     "complement_unreached": frozenset(range(n)) - d.finals not in subsets})
+    assert all(row["within_bound"] and row["complement_identity"]
+               and row["complement_unreached"] for row in rows)
+    payload = {"command": "reversal", "rows": rows, "failures": [], "seed": 1, "violations": 0}
+    text = json.dumps(payload, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == REVERSAL_DIGESTS[n]
+
+
 @pytest.mark.parametrize("argv, digest", [
-    (("reversal", "--random", "--seed", "1", "--count", "40", "--n", "7"),
-     "4bcc7c20bf59f77baf2c539fda57e9cb108700bc6113c8383e04c76b21dd8d2f"),
-    (("reversal", "--random", "--seed", "1", "--count", "40", "--n", "8"),
-     "6fa9a42d259f2f350196779dc08755e84005cccec40eb7539f8eb0c13a97de3d"),
+    (("reversal", "--random", "--seed", "1", "--count", "40", "--n", "7"), REVERSAL_DIGESTS[7]),
+    (("reversal", "--random", "--seed", "1", "--count", "40", "--n", "8"), REVERSAL_DIGESTS[8]),
     (("product", "--m", "5", "--fl", "0"),
      "0c276390738bd91cc090166a6bb20447708eb52681add20e4231589b0a76f59d"),
     (("product", "--m", "5", "--fl", "1"),

@@ -15,6 +15,7 @@ from aperiodic.experiments import (
     family_products,
     random_aperiodic_dfa,
     reversal_experiment,
+    reversal_record,
 )
 from aperiodic.rng import BLOCK, SplitMix64
 from aperiodic.semigroups import is_aperiodic
@@ -101,6 +102,14 @@ def test_reversal_experiment_small():
         assert rec.within_bound
         assert rec.complement_identity
         assert rec.complement_unreached
+
+
+def test_reversal_experiment_draws_only_the_dfas():
+    # a record draws nothing: the sample is the DFAs drawn back to back
+    ns = (2, 5, 7)
+    rng = SplitMix64(3)
+    dfas = [random_aperiodic_dfa(ns[i % len(ns)], rng) for i in range(12)]
+    assert reversal_experiment(3, 12, ns) == [reversal_record(d) for d in dfas]
 
 
 def two_state_dfa(variant, final_state: int) -> Dfa:
