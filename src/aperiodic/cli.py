@@ -283,7 +283,8 @@ def cmd_search(args) -> int:
     }
     return _emit(args, [row],
                  ("n", "value", "witness", "exhaustive", "distinct_maxima",
-                  "products", "provenance", "seconds"), [])
+                  "products", "provenance", "seconds"), [],
+                 {"stats": result.stats._asdict()})
 
 
 def cmd_reversal(args) -> int:

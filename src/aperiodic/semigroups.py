@@ -242,6 +242,8 @@ class CycleFreeCandidates:
         self._is_cycle_free, self._cycle_free = arrays.__contains__, arrays.issuperset
         # candidate index -> the base element u that last made u * candidate cyclic
         self._killers: dict[int, bytes] = {}
+        # extension calls, and those of them that reached extend_closure
+        self.calls = self.closures = 0
 
     def extension(self, base: set[bytes], gen_tables: list[bytes], i: int):
         """``extend_closure(base, gen_tables, arrays[i])`` for a cycle-free base.
@@ -255,6 +257,7 @@ class CycleFreeCandidates:
         remembers the first new killer; only a candidate without one reaches
         ``extend_closure`` (the killer heuristic of game-tree search).
         """
+        self.calls += 1
         if self._killers.get(i) in base:
             return None
         c = self.arrays[i]
@@ -263,6 +266,7 @@ class CycleFreeCandidates:
         if killer is not None:
             self._killers[i] = killer
             return None
+        self.closures += 1
         return extend_closure(base, gen_tables, c, self._cycle_free)
 
 

@@ -563,7 +563,7 @@ def test_experiment_outputs_pinned(capsys, argv, digest):
     (("optimize", "scti", "6"),
      "f6234241301dc82a5883be4d629bd28fd21c3d79d0a47c72a7b04e857ce57fcc"),
     (("search", "3", "--no-seed"),
-     "5238c42992bdecc16df958cdd03c641dcee1eca7746f7b84e7f6536b9cb0a6c1"),
+     "8e11af78a775df80c8965f7d525ed18f868f759d82e0f56aa09f03f6a2ef9e91"),
     (("family", "ui", "(2,2)", "--verify"),
      "941daacfe02c76e2ba64eaeafd7f70abbd18a50333a19082df5fab71992df5a9"),
     (("family", "scti", "((2,2),2)", "--verify"),

@@ -1,7 +1,10 @@
 """Bounded exhaustive search for maximal aperiodic semigroups."""
 
+import functools
 import hashlib
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -21,6 +24,7 @@ from aperiodic.semigroups import (
 from aperiodic.transforms import Transformation, has_cycle_images, translation_table
 
 from reference_tables import APERIODIC_KNOWN
+from search_oracle import max_aperiodic_uncached
 
 
 def test_candidate_pool_counts():
@@ -104,8 +108,72 @@ def test_killers_spare_extend_closure(monkeypatch):
     monkeypatch.setattr(semigroups, "extend_closure", counting)
     result = max_aperiodic(4, max_products=2_000_000, seed_with_family=False)
     assert result.products_used == 2_000_002
-    # 43,834 calls without the killers; 1,410 with them
-    assert len(calls) <= 1500
+    # 43,834 extension calls and 1,410 extend_closure calls without the table
+    # (the killers reject the other 42,424); the table leaves 943 and 99
+    assert len(calls) == result.stats.closures == 99
+    assert result.stats == search.SearchStats(nodes=1410, served=1367, entries=17,
+                                              extensions=943, closures=99)
+    calls.clear()
+    result = max_aperiodic(3, seed_with_family=False)
+    assert result.exhaustive
+    # 5,177 and 2,180 without the table
+    assert len(calls) == result.stats.closures == 1014
+    assert result.stats == search.SearchStats(nodes=2180, served=1527, entries=653,
+                                              extensions=1644, closures=1014)
+
+
+@functools.cache
+def _uncached(n: int, budget: int, seeded: bool):
+    return max_aperiodic_uncached(n, budget, seeded)
+
+
+def _sweep_budgets():
+    """(n, budget, seeded) for the oracle sweep: seeded-random budgets over the
+    whole n = 3 tree (52,836 products) and up to 2M products at n = 4, a few
+    at n = 5, and n = 3 budgets where a replayed charge meets the budget
+    after a child's closure charge passed it (4269, 7420) or at a node with
+    no candidate left (5976, 24366)."""
+    rng = random.Random(29)
+    cases = [(3, rng.randint(1, 52_836), bool(i % 2)) for i in range(300)]
+    cases += [(3, budget, seeded) for budget in (4269, 7420, 5976, 24366)
+              for seeded in (False, True)]
+    cases += [(4, max(1, int(2_000_000 ** rng.random())), bool(i % 2)) for i in range(75)]
+    cases += [(4, rng.randint(1, 2_000_000), bool(i % 2)) for i in range(75)]
+    cases += [(5, budget, False) for budget in (1, 2_000, 250_000, 3_000_000)]
+    return cases
+
+
+def _sweep():
+    for n, budget, seeded in _sweep_budgets():
+        r = max_aperiodic(n, max_products=budget, seed_with_family=seeded)
+        got = (r.size, r.products_used, r.distinct_maxima, r.exhaustive,
+               tuple(map(str, r.generators)))
+        assert got == _uncached(n, budget, seeded), (n, budget, seeded)
+
+
+def test_table_matches_uncached_search():
+    _sweep()
+
+
+def test_table_cleared_by_a_tiny_cap_matches_uncached_search(monkeypatch):
+    # exactness does not depend on what the table still holds
+    monkeypatch.setattr(search, "TABLE_CAP", 64)
+    _sweep()
+    assert max_aperiodic(4, max_products=2_000_000, seed_with_family=False).stats.entries \
+        > 17
+
+
+def test_search_path_is_not_bounded_by_the_recursion_limit():
+    # n = 7 with 1,500,000 products goes 1,079 generators deep, past the
+    # default limit of 1,000 frames; a path 417 deep (n = 6, 200,000 products)
+    # under a limit 100 frames above the caller's shows the same
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        result = max_aperiodic(6, max_products=200_000, seed_with_family=False)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (result.size, result.products_used, len(result.generators)) == (452, 200_859, 417)
 
 
 def test_n4_budgeted_run_certifies_47():
