@@ -36,6 +36,7 @@ from .experiments import (
 )
 from .families import build_family, check_family, parse_distribution, parse_structure
 from .optimizer import SctiDpTable, UiDpTable
+from .rng import MASK64
 from .search import DEFAULT_MAX_PRODUCTS, DEFAULT_MAX_SECONDS, max_aperiodic
 from .semigroups import DEFAULT_ELEMENT_BUDGET, MAX_STATES, is_aperiodic
 
@@ -150,9 +151,11 @@ def cmd_table(args) -> int:
     if not (1 <= args.min <= args.max <= UI_CAP):
         raise ValueError(f"need 1 <= min <= max <= {UI_CAP}")
     classes = TABLE_CLASSES if args.classes is None else tuple(args.classes.split(","))
-    for cls in classes:
+    for i, cls in enumerate(classes):
         if cls not in TABLE_CLASSES:
             raise ValueError(f"unknown class {cls!r}; choose from {', '.join(TABLE_CLASSES)}")
+        if cls in classes[:i]:
+            raise ValueError(f"class {cls!r} is named twice")
     ui_table = UiDpTable.compute(args.max) if "comp-unitary-1" in classes else None
     scti_table = (SctiDpTable.compute(min(args.max, SCTI_CAP))
                   if "sc-tree-1" in classes else None)
@@ -299,6 +302,8 @@ def cmd_reversal(args) -> int:
         raise ValueError("--count needs to be at least 1")
     if args.n is not None and not 2 <= args.n <= SUBSET_LIMIT:
         raise ValueError(f"reversal --n needs 2 <= n <= {SUBSET_LIMIT}")
+    if args.seed is not None and not 0 <= args.seed <= MASK64:
+        raise ValueError("reversal --seed needs 0 <= seed <= 2**64 - 1")
     if args.dfa is not None:
         d = _load_dfa(args.dfa)
         if d.n > SUBSET_LIMIT:

@@ -66,7 +66,7 @@ def random_aperiodic_dfa(n: int, rng: SplitMix64) -> Dfa:
     if not 2 <= n <= 64:
         raise ValueError("sampling needs 2 <= n <= 64")
     for _ in range(SAMPLE_ATTEMPTS):
-        k = 2 + rng.below(2)
+        k = 2 + rng.draws(2, 1)[0]
         letters = []
         for _ in range(k):
             while True:
@@ -77,7 +77,7 @@ def random_aperiodic_dfa(n: int, rng: SplitMix64) -> Dfa:
         if not _closes_aperiodic(letters):
             continue
         delta = [Transformation(tuple(images)) for images in letters]
-        finals_mask = rng.below(2**n - 2) + 1  # non-empty, proper
+        finals_mask = rng.draws(2**n - 2, 1)[0] + 1  # non-empty, proper
         finals = frozenset(q for q in range(n) if finals_mask >> q & 1)
         return Dfa(n=n, alphabet=tuple(_LETTERS[:k]), delta=tuple(delta),
                    initial=0, finals=finals)

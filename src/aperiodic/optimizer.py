@@ -268,15 +268,9 @@ class SctiDpTable:
                 # attained level: the leaf's lower bounds and the log-sums of
                 # this column's last winner and the winner at k + 1
                 level = max(logc[s], s * log_k[k])
-                g = scol[s - 1]
-                if g:
-                    ag = diag[k + g] + lcol[g]
-                    cg = log_k[s - g] + c_top + lq[g]
-                    lg = ag + log1p(exp(cg - ag)) if ag > cg else cg + log1p(exp(ag - cg))
-                    if lg > level:
-                        level = lg
-                g = prev_scol[s] if s < s_max else 0
-                if g:
+                for g in (scol[s - 1], prev_scol[s] if s < s_max else 0):
+                    if not g:
+                        continue
                     ag = diag[k + g] + lcol[g]
                     cg = log_k[s - g] + c_top + lq[g]
                     lg = ag + log1p(exp(cg - ag)) if ag > cg else cg + log1p(exp(ag - cg))

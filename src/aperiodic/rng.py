@@ -13,8 +13,8 @@ of its lane.  Lane i starts as ``state + (i+1)*GAMMA`` and each step of
 values or a product of two 64-bit values fits in 128 bits, so nothing
 carries into the next lane, and a right shift moves the next lane's low bits
 only into the high half of this one, which the mask ``M`` clears after every
-step.  ``draws`` turns a run of raw outputs into bounded draws with one
-``map`` when none of them is rejected.
+step.  ``draws`` is the one way to read the stream: it turns a run of raw
+outputs into bounded draws with one ``map`` when none of them is rejected.
 """
 
 from __future__ import annotations
@@ -83,26 +83,13 @@ class SplitMix64:
             raws += self._buf[:self._pos]
         return raws
 
-    def next64(self) -> int:
-        if self._pos == BLOCK:
-            self._fill()
-        x = self._buf[self._pos]
-        self._pos += 1
-        return x
-
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), by rejection to avoid modulo bias."""
-        limit = _rejection_limit(bound)
-        while True:
-            x = self.next64()
-            if x <= limit:
-                return x % bound
-
     def draws(self, bound: int, count: int) -> list[int]:
-        """``[self.below(bound) for _ in range(count)]``, taken in one slice.
+        """``count`` uniform integers in [0, bound), by rejection to avoid modulo bias.
 
-        A rejected output is skipped in stream order, exactly as ``below``
-        skips it, and the draws it leaves short come from further outputs.
+        A raw output above the rejection limit is skipped in stream order,
+        and the draws it leaves short come from the outputs after it, taken
+        no further than the last one kept.  ``draws(2**64, count)`` is the
+        raw stream.
         """
         limit = _rejection_limit(bound)
         if count <= 0:
@@ -111,7 +98,5 @@ class SplitMix64:
         if max(raws) > limit:
             raws = [x for x in raws if x <= limit]
             while len(raws) < count:
-                x = self.next64()
-                if x <= limit:
-                    raws.append(x)
+                raws += [x for x in self._take(count - len(raws)) if x <= limit]
         return list(map(mod, raws, repeat(bound)))

@@ -126,8 +126,8 @@ def test_minimize_idempotent_and_merging():
 
 def _sample_words(d, rng, count=200):
     for _ in range(count):
-        length = rng.below(2 * d.n + 1)
-        yield [rng.below(len(d.alphabet)) for _ in range(length)]
+        length = rng.draws(2 * d.n + 1, 1)[0]
+        yield rng.draws(len(d.alphabet), length)
 
 
 def test_minimize_preserves_language():

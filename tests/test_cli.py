@@ -254,6 +254,11 @@ def test_optimize_commands(capsys):
     ("product", "--files", "k.dfa", "l.dfa", "--m", "9"),
     ("product", "--files", "k.dfa", "l.dfa", "--fl", "0"),
     ("reversal", "--dfa", "k.dfa", "--seed", "1"),
+    ("table", "--max", "2", "--classes", "aperiodic,aperiodic"),
+    # SplitMix64 keeps a seed's low 64 bits: -1 would sample seed 2^64 - 1's
+    # DFAs, and 2^64 + 1 seed 1's while reporting the other seed
+    ("reversal", "--random", "--seed", "-1"),
+    ("reversal", "--random", "--seed", str(2**64 + 1)),
 ])
 def test_out_of_domain_exits_2(tmp_path, monkeypatch, capsys, argv):
     # every refusal comes before a DFA is closed or a product built
@@ -351,6 +356,13 @@ def test_reversal_rejects_bad_input(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("APERIODIC_BUDGET", "many")
     code, out, err = run(capsys, "reversal", "--dfa", str(cyclic))
     assert code == 2 and "APERIODIC_BUDGET" in err
+
+
+def test_reversal_seed_takes_the_whole_64_bit_range(capsys):
+    for seed in (0, 2**64 - 1):
+        code, out, _ = run(capsys, "reversal", "--random", "--seed", str(seed),
+                           "--count", "1", "--n", "3", "--format", "json")
+        assert code == 0 and json.loads(out)["seed"] == seed
 
 
 @pytest.mark.parametrize("command", [("closure",), ("reversal", "--dfa")],

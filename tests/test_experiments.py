@@ -25,30 +25,30 @@ from aperiodic.transforms import Transformation
 def test_splitmix_is_deterministic():
     a = SplitMix64(42)
     b = SplitMix64(42)
-    assert [a.next64() for _ in range(5)] == [b.next64() for _ in range(5)]
+    assert a.draws(2**64, 5) == b.draws(2**64, 5)
     # first outputs of the reference stream for seed 0
     c = SplitMix64(0)
-    assert c.next64() == 0xE220A8397B1DCDAF
-    assert c.next64() == 0x6E789E6AA1B965F4
+    assert c.draws(2**64, 1) == [0xE220A8397B1DCDAF]
+    assert c.draws(2**64, 1) == [0x6E789E6AA1B965F4]
 
 
 def test_splitmix_below_bounds():
     rng = SplitMix64(9)
-    draws = [rng.below(10) for _ in range(1000)]
+    draws = rng.draws(10, 1000)
     assert set(draws) <= set(range(10))
     assert len(set(draws)) == 10
     with pytest.raises(ValueError):
-        rng.below(0)
+        rng.draws(0, 1)
 
 
 def test_splitmix_bound_above_2_64_is_refused():
     rng = SplitMix64(1)
     with pytest.raises(ValueError):
-        rng.below(2**64 + 1)
+        rng.draws(2**64 + 1, 1)
     with pytest.raises(ValueError):
         rng.draws(2**64 + 1, 3)
     # 2**64 itself keeps every raw output
-    assert rng.below(2**64) == per_draw.SplitMix64(1).next64()
+    assert rng.draws(2**64, 1) == [per_draw.SplitMix64(1).next64()]
 
 
 def test_splitmix_blocks_match_per_draw_oracle():
@@ -62,8 +62,11 @@ def test_splitmix_blocks_match_per_draw_oracle():
         for bound in bounds:
             for count in counts:
                 assert ours.draws(bound, count) == [oracle.below(bound) for _ in range(count)]
-                assert ours.next64() == oracle.next64()
-                assert ours.below(bound) == oracle.below(bound)
+                assert ours.draws(2**64, 1) == [oracle.next64()]
+                assert ours.draws(bound, 1) == [oracle.below(bound)]
+        # the sampler's single draws: its letter count and the finals masks at n = 7, 8
+        for bound in (2, 126, 254):
+            assert ours.draws(bound, 1) == [oracle.below(bound)]
 
 
 def test_random_aperiodic_dfa():
@@ -82,7 +85,7 @@ def test_random_aperiodic_dfa_refuses_n_outside_2_64_before_drawing():
     for n in (1, 65, 255):
         with pytest.raises(ValueError, match="2 <= n <= 64"):
             random_aperiodic_dfa(n, rng)
-    assert rng.next64() == SplitMix64(1).next64()  # the stream is untouched
+    assert rng.draws(2**64, 1) == SplitMix64(1).draws(2**64, 1)  # the stream is untouched
 
 
 def test_random_aperiodic_dfa_pinned():

@@ -10,6 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aperiodic import semigroups
+from aperiodic.combinatorics import unitary_family_size
+from aperiodic.families import enumerate_distributions
+from aperiodic.optimizer import UiDpTable
 from aperiodic.semigroups import (
     CycleFreeCandidates,
     aperiodic_transformations,
@@ -390,12 +393,12 @@ def _pinned_unitary_sets():
                 yield n, subset
     rng = SplitMix64(16)
     for _ in range(3000):
-        n = 4 + rng.below(4)
+        n = 4 + rng.draws(4, 1)[0]
         edges = _all_edges(n)
-        k = min(3 + rng.below(12), len(edges))
+        k = min(3 + rng.draws(12, 1)[0], len(edges))
         subset = []
         while len(subset) < k:
-            edge = edges[rng.below(len(edges))]
+            edge = edges[rng.draws(len(edges), 1)[0]]
             if edge not in subset:
                 subset.append(edge)
         yield n, tuple(subset)
@@ -419,15 +422,8 @@ PINNED_UNITARY_KINDS = {"aperiodic": 2750, "k_cyclic": 2638, "t6": 184}
 PINNED_UNITARY_DIGEST = "d36380fe14e1c03d5c87b13b6e186236637ea1918f3d75581382050848a115ed"
 
 
-def _bipath_components(n, edges) -> bool:
-    """The theorem's graph form: every strongly connected component of the
-    edge graph (a set of (p, q) pairs) is a bipath.
-
-    Components come from reachability.  A component of k states is a bipath
-    when its internal edges all run both ways, there are 2(k - 1) of them
-    (so they form a tree) and no state has more than two of them leaving it
-    (so the tree is a path).
-    """
+def _reach(n, edges) -> list[set]:
+    """The states reachable from each state along the edges, itself included."""
     reach = []
     for v in range(n):
         seen, stack = {v}, [v]
@@ -438,6 +434,19 @@ def _bipath_components(n, edges) -> bool:
                     seen.add(q)
                     stack.append(q)
         reach.append(seen)
+    return reach
+
+
+def _bipath_components(n, edges) -> bool:
+    """The theorem's graph form: every strongly connected component of the
+    edge graph (a set of (p, q) pairs) is a bipath.
+
+    Components come from reachability.  A component of k states is a bipath
+    when its internal edges all run both ways, there are 2(k - 1) of them
+    (so they form a tree) and no state has more than two of them leaving it
+    (so the tree is a path).
+    """
+    reach = _reach(n, edges)
     for v in range(n):
         comp = {u for u in reach[v] if v in reach[u]}
         internal = [(p, q) for p, q in edges if p in comp and q in comp]
@@ -486,15 +495,84 @@ def test_theorem_equivalence_sampled_larger_sets():
     edges = _all_edges(4)
     rng = SplitMix64(7)
     for _ in range(300):
-        k = 4 + rng.below(5)  # 4..8 edges
+        k = 4 + rng.draws(5, 1)[0]  # 4..8 edges
         subset = set()
         while len(subset) < k:
-            subset.add(edges[rng.below(len(edges))])
+            subset.add(edges[rng.draws(len(edges), 1)[0]])
         gens = [unitary(4, p, q) for p, q in subset]
         by_pattern = unitary_generator_check(gens).kind == "aperiodic"
         by_graph = _bipath_components(4, subset)
         by_closure = is_aperiodic(closure(gens))
         assert by_pattern == by_graph == by_closure
+
+
+def _complete_unitary_shape(n, edges) -> bool:
+    """The edge graph of a complete unitary DFA up to relabeling: its
+    strongly connected components are bipaths, and they form a chain
+    C_1, ..., C_m with an edge from every state of C_i to every state of C_j
+    for i < j and no other edge between components.  Along such a chain each
+    component reaches strictly fewer states, which orders them."""
+    reach = _reach(n, edges)
+    comps = {frozenset(u for u in reach[v] if v in reach[u]) for v in range(n)}
+    chain = sorted(comps, key=lambda c: -len(reach[min(c)]))
+    forward = {(p, q) for i, c in enumerate(chain) for d in chain[i + 1:] for p in c for q in d}
+    between = {(p, q) for p, q in edges if not any(p in c and q in c for c in comps)}
+    return _bipath_components(n, edges) and between == forward
+
+
+def _maximal_aperiodic_unitary_sets(n) -> list[set]:
+    """Every inclusion-maximal set of unitary edges on n states whose
+    generators pass ``unitary_generator_check``.
+
+    The DFS adds edges in index order and keeps only sets that pass.  It
+    still reaches every passing set, because each prefix of one passes too:
+    a subsemigroup of an aperiodic semigroup is aperiodic.  A set is maximal
+    when no edge outside it can be added.
+    """
+    edges = _all_edges(n)
+    gens = [unitary(n, p, q) for p, q in edges]
+    maximal = []
+
+    def extend(subset, start):
+        addable = [i for i in range(len(edges)) if i not in subset
+                   and unitary_generator_check([gens[j] for j in subset + (i,)])]
+        if not addable:
+            maximal.append({edges[i] for i in subset})
+        for i in addable:
+            if i >= start:
+                extend(subset + (i,), i + 1)
+
+    extend((), 0)
+    return maximal
+
+
+def test_complete_unitary_shape():
+    assert _complete_unitary_shape(3, {(0, 1), (1, 0), (0, 2), (1, 2)})
+    assert _complete_unitary_shape(3, {(2, 0), (2, 1), (0, 1), (1, 0)})  # relabeled
+    assert not _complete_unitary_shape(3, {(0, 1), (1, 0), (0, 2)})  # (1, 2) missing
+    assert not _complete_unitary_shape(3, {(0, 1), (0, 2)})  # 1 and 2 unordered
+    assert not _complete_unitary_shape(3, {(0, 1), (1, 2), (2, 0)})  # a 3-cycle
+
+
+@pytest.mark.parametrize("n, count, family_sizes", [
+    (3, 9, {8, 9, 10}),
+    (4, 54, {32, 35, 38, 40, 45}),
+])
+def test_maximal_unitary_semigroups_are_complete(n, count, family_sizes):
+    """The paper's theorem at small n: every maximal aperiodic unitary
+    semigroup is complete, so the complete families' DP value m_ui(n) is the
+    unitary maximum.  Each inclusion-maximal edge set has the complete
+    shape, and with the identity it closes to a complete family's size."""
+    assert family_sizes == {unitary_family_size(d) for d in enumerate_distributions(n)
+                            if not d.has_adjacent_singletons()}
+    maximal = _maximal_aperiodic_unitary_sets(n)
+    assert len(maximal) == count
+    sizes = set()
+    for edges in maximal:
+        assert _complete_unitary_shape(n, edges)
+        sizes.add(len(closure([unitary(n, p, q) for p, q in edges] + [identity(n)])))
+    assert sizes == family_sizes
+    assert max(sizes) == UiDpTable.compute(n).values[n]
 
 
 def test_count_k_partial_bipath2():
