@@ -138,8 +138,6 @@ def _table_value(cls: str, n: int, ui_table, scti_table):
         result = max_aperiodic(n, max_products=TABLE_SEARCH_PRODUCTS,
                                max_seconds=TABLE_SEARCH_SECONDS)
         return str(result.size), None, _search_provenance(result)
-    if n < 2:
-        return "-", None, "dp"
     if cls == "comp-unitary-1":
         return str(ui_table.values[n]), str(ui_table.witness(n)), "dp"
     if n > SCTI_CAP:
@@ -158,7 +156,7 @@ def cmd_table(args) -> int:
             raise ValueError(f"class {cls!r} is named twice")
     ui_table = UiDpTable.compute(args.max) if "comp-unitary-1" in classes else None
     scti_table = (SctiDpTable.compute(min(args.max, SCTI_CAP))
-                  if "sc-tree-1" in classes else None)
+                  if "sc-tree-1" in classes and args.min <= SCTI_CAP else None)
     columns = ("class", "n", "value", "witness", "provenance")
     rows = []
     failures = []

@@ -17,12 +17,13 @@ semigroup, and a node's children, the candidates above its last index that
 extend its base B with what each adds, depend on B alone.  So the search
 keeps the matching transposition table (Zobrist, 1970): a node whose base
 was finished before, from a last index no larger, takes its children from
-the table instead of trying the candidates again, and charges the skipped
-candidates in one step per gap.  The budget is charged as if every
-candidate were tried one by one, before the call, so the DFS order, the
-product count, the witnesses and the checkpoints depend neither on the
-killers nor on the table; a node served from the table reads the clock once
-per charge rather than once per candidate.
+the table instead of trying the candidates again.  Either way a node
+charges its budget once per gap, the candidates outside its base up to its
+next child (or its end), as if each were charged one by one before it was
+tried, and reads the clock once per gap.  So the DFS order, the product
+count, the witnesses and the checkpoints depend neither on the killers nor
+on the table; only the node the budget cuts may try candidates past the
+point where the budget ran out.
 
 Runs for n <= 3 are exhaustive (n = 3: 52,836 products, about 0.016 s of
 CPU on a 2-core x86-64 box, Python 3.11).  No run of this DFS has completed
@@ -39,7 +40,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import permutations
+from itertools import islice, permutations
+from operator import itemgetter
 from typing import NamedTuple
 
 from .families import build_family
@@ -166,25 +168,26 @@ def max_aperiodic(
     reports the best semigroup seen.  ``distinct_maxima`` counts the distinct
     labeled closures of the best size that the run met, capped at 64: an
     unseeded n = 3 run reports 9, every labeled maximum there (3 up to
-    relabeling).  ``stats`` counts the DFS nodes, those served from the
-    table of children, the table entries written, and the ``extension`` and
-    ``extend_closure`` calls; the table is cleared whenever it would hold
-    more than ``TABLE_CAP`` integers, which changes only these counts.  The
-    product budget is exact: the run stops at the candidate whose charge
-    passes it, as if every candidate were charged one by one.  The clock is
-    read at every charge, which covers a whole gap of candidates at a node
-    served from the table.  A checkpoint file lets an interrupted
-    run resume: a header line with n, the seed flag and the candidate count,
-    then one line per fully explored first-generator branch holding the
-    branch's best size and witness, e.g. ``[0,0,1] 3 [0,0,1] [1,1,1]``.  A
-    resumed run skips the stored branches and counts their results as found
-    (``distinct_maxima`` then holds one closure per stored branch) and
-    reports their number as ``resumed``.  A header
-    that does not match the run is a ``ValueError``, and so is a branch line
-    that no run writes (``_read_checkpoint``; a stored size is re-closed but
-    not re-searched, so it is trusted to be its branch's best), n outside
-    1..``MAX_SEARCH_N``, ``max_products`` below 1 and ``max_seconds`` not
-    above 0 (``nan`` included).
+    relabeling).  ``stats`` counts the DFS nodes, those served from the table
+    of children, the table entries written, and the ``extension`` and
+    ``extend_closure`` calls; the table is cleared whenever it would hold more
+    than ``TABLE_CAP`` integers, which changes only these counts.  The product
+    budget is exact: the run stops at the candidate whose charge passes it, as
+    if every candidate were charged one by one.  A node charges a whole gap of
+    candidates, up to its next child, in one step and reads the clock once per
+    gap; the node the budget cuts may already have tried candidates past that
+    point, which shows only in ``stats``.  A checkpoint file lets an
+    interrupted run resume: a header line with n, the seed flag and the
+    candidate count, then one line per fully explored first-generator branch
+    holding the branch's best size and witness, e.g.
+    ``[0,0,1] 3 [0,0,1] [1,1,1]``.  A resumed run skips the stored branches
+    and counts their results as found (``distinct_maxima`` then holds one
+    closure per stored branch) and reports their number as ``resumed``.  A
+    header that does not match the run is a ``ValueError``, and so is a
+    branch line that no run writes (``_read_checkpoint``; a stored size is
+    re-closed but not re-searched, so it is trusted to be its branch's best),
+    n outside 1..``MAX_SEARCH_N``, ``max_products`` below 1 and
+    ``max_seconds`` not above 0 (``nan`` included).
     """
     if not 1 <= n <= MAX_SEARCH_N:
         raise ValueError(f"search needs 1 <= n <= {MAX_SEARCH_N}")
@@ -238,74 +241,34 @@ def max_aperiodic(
                 done_prefixes.add(prefix)
 
     # The table maps the packed positions of a finished node's base to its
-    # last index, the indices of its accepted children and each child's new
-    # positions, all ascending; a later node on that base with a last index no
-    # smaller has the stored children above its own last index.  The first
-    # node on a base has the least last index of all, so a smaller one can
-    # come only after the table was cleared.
+    # last index and its accepted children above it, (index, new positions)
+    # each, ascending; a later node on that base with a last index no smaller
+    # has the stored children above its own last index.  The first node on a
+    # base has the least last index of all, so a smaller one can come only
+    # after the table was cleared.
     position = partial(bisect_left, arrays)  # arrays ascend
-    table: dict[bytes, tuple[int, list[int], list[list[int]]]] = {}
+    table: dict[bytes, tuple[int, list[tuple[int, list[int]]]]] = {}
     load = nodes = served = entries = 0
 
-    def charge(count: int, size: int) -> bool:
-        """Charge ``count`` candidates of a base of ``size`` elements at once,
-        as many as the per-candidate loop would before it stops; False if it
-        stops.  An accepted child's closure charge is not checked, so the
-        budget may already be spent: the next candidate still pays."""
-        nonlocal products
-        if products + count * size > max_products:
-            products += (max(0, (max_products - products) // size) + 1) * size
-            return False
-        if time.monotonic() > deadline:
-            products += size
-            return False
-        products += count * size
-        return True
-
-    def stored_children(stored, members: list, size: int, last: int):
-        """The children above ``last`` of a base in the table, (index, new
-        positions) each, with the skipped candidates charged; None on budget."""
-        _, child_idxs, child_pos = stored
-        start = last + 1
-        for i in range(bisect_right(child_idxs, last), len(child_idxs)):
-            idx = child_idxs[i]
-            # the candidates start..idx outside the base, the child included
-            count = idx + 1 - start - (bisect_right(members, idx) - bisect_left(members, start))
-            if not charge(count, size):
-                yield None
-                return
-            yield idx, child_pos[i]
-            start = idx + 1
-        count = len(arrays) - start - (len(members) - bisect_left(members, start))
-        if count and not charge(count, size):
-            yield None
-
-    def tried_children(base: set, members: list, gen_tables: list, last: int, key: bytes):
+    def tried(base: set, members: list, gen_tables: list, last: int, key: bytes):
         """The children above ``last`` of a base not in the table, found by
-        trying every candidate; None on budget.  Once every child's subtree
-        is searched, they go into the table under ``key``."""
+        trying every candidate.  Once every child's subtree is searched, they
+        go into the table under ``key``."""
         nonlocal load, entries
-        child_idxs, child_pos = [], []
+        kids = []
         for idx in range(last + 1, len(arrays)):
-            cand = arrays[idx]
-            if cand in base:
+            if arrays[idx] in base:
                 continue
-            if not charge(1, len(base)):
-                yield None
-                return
             new = candidates.extension(base, gen_tables, idx)
-            if new is None:
-                continue
-            new_pos = sorted(map(position, new))
-            child_idxs.append(idx)
-            child_pos.append(new_pos)
-            yield idx, new_pos
-        cost = 1 + len(members) + len(child_idxs) + sum(map(len, child_pos))
+            if new is not None:
+                kids.append((idx, sorted(map(position, new))))
+                yield kids[-1]
+        cost = 1 + len(members) + len(kids) + sum(len(new_pos) for _, new_pos in kids)
         if load + cost > TABLE_CAP:
             table.clear()
             load = 0
         load += cost
-        table[key] = (last, child_idxs, child_pos)
+        table[key] = (last, kids)
         entries += 1
 
     def children(base: set, members: list, gen_tables: list, last: int):
@@ -316,8 +279,9 @@ def max_aperiodic(
         stored = table.get(key)
         if stored is not None and stored[0] <= last:
             served += 1
-            return stored_children(stored, members, len(base), last)
-        return tried_children(base, members, gen_tables, last, key)
+            kids = stored[1]
+            return islice(kids, bisect_right(kids, last, key=itemgetter(0)), None)
+        return tried(base, members, gen_tables, last, key)
 
     def extend(base: set, members: list, gen_bytes: list, gen_tables: list,
                last: int) -> bool:
@@ -325,24 +289,34 @@ def max_aperiodic(
 
         ``members`` lists the positions of ``base`` in ``arrays``, ascending.
         The path is a list of levels, each its children still to come, its
-        base's positions and what its generator added, so no level costs a
-        stack frame.
+        base's positions, what its generator added and its last index, so no
+        level costs a stack frame.  An accepted child's closure charge is not
+        checked, so the budget may already be spent: the next gap still pays.
         """
         nonlocal products
-        path = [(children(base, members, gen_tables, last), members, [])]
+        end = (len(arrays) - 1, None)
+        path = [(children(base, members, gen_tables, last), members, [], last)]
         while path:
-            kids, members, new = path[-1]
-            child = next(kids, ())
-            if child is None:
-                return False
-            if not child:
-                path.pop()
+            kids, members, _, _ = path[-1]
+            idx, new_pos = next(kids, end)
+            # the candidates last+1..idx outside the base, the child included
+            count = idx - last - (bisect_right(members, idx) - bisect_right(members, last))
+            if count:
+                size = len(base)
+                if products + count * size > max_products:
+                    products += (max(0, (max_products - products) // size) + 1) * size
+                    return False
+                if time.monotonic() > deadline:
+                    products += size
+                    return False
+                products += count * size
+            if new_pos is None:
+                _, _, new, last = path.pop()
                 if path:  # the root's own generator and elements stay
                     base.difference_update(new)
                     gen_bytes.pop()
                     gen_tables.pop()
                 continue
-            idx, new_pos = child
             new = list(map(arrays.__getitem__, new_pos))
             products += len(new) * (len(gen_tables) + 1)
             base.update(new)
@@ -350,7 +324,8 @@ def max_aperiodic(
             gen_tables.append(translation_table(arrays[idx]))
             record(len(base), gen_bytes, base)
             members = sorted(members + new_pos)
-            path.append((children(base, members, gen_tables, idx), members, new))
+            path.append((children(base, members, gen_tables, idx), members, new, idx))
+            last = idx
         return True
 
     exhaustive = True

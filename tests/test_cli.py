@@ -49,6 +49,10 @@ def test_table_json_values_roundtrip(capsys):
     assert rows[("aperiodic", 3)]["provenance"] == "search"
     assert rows[("aperiodic", 4)]["provenance"] == "search-bounded"
     assert rows[("part-mon", 1)]["value"] == "-"
+    # n = 1 cells agree with optimize and family --verify
+    assert (rows[("comp-unitary-1", 1)]["value"], rows[("comp-unitary-1", 1)]["witness"]) \
+        == ("1", "(1)")
+    assert (rows[("sc-tree-1", 1)]["value"], rows[("sc-tree-1", 1)]["witness"]) == ("1", "1")
     # every witness string re-parses and re-evaluates to the row value
     for (cls, n), row in rows.items():
         if row["witness"] is None:
@@ -301,6 +305,17 @@ def test_table_cell_beyond_the_scti_cap(capsys, monkeypatch):
     assert code == 0
     rows = json.loads(out)["rows"]
     assert [(r["value"], r["provenance"]) for r in rows] == [("10", "dp"), ("?", "none")]
+
+
+def test_table_beyond_the_scti_cap_skips_the_scti_dp(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the scti DP ran for cells it does not fill")
+    monkeypatch.setattr(cli.SctiDpTable, "compute", fail)
+    code, out, _ = run(capsys, "table", "--min", "600", "--max", "600",
+                       "--classes", "sc-tree-1", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["value"], r["provenance"]) for r in rows] == [("?", "none")]
 
 
 def test_table_cell_that_raises_is_listed(capsys, monkeypatch):
@@ -569,7 +584,7 @@ def test_experiment_outputs_pinned(capsys, argv, digest):
 
 @pytest.mark.parametrize("argv, digest", [
     (("table", "--max", "5"),
-     "67b21efe1bb288f892ef2b943cb2bd234db23861e1548a4738121bc8e44ad082"),
+     "dd597922cadf1783e4952fb26a9033fdcbeeaf3a7c4d200b7a0c78f95e74618c"),
     (("optimize", "ui", "13"),
      "113b479d1aade94e60d4479e9a288d89a1dc34b4cdcab2422f967caeb931e3e1"),
     (("optimize", "scti", "6"),

@@ -174,6 +174,11 @@ def test_search_path_is_not_bounded_by_the_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert (result.size, result.products_used, len(result.generators)) == (452, 200_859, 417)
+    # the node the budget cuts tries its candidates up to its next child
+    # before it charges the gap, so it makes one extension and one closure
+    # more than a per-candidate charge would (465 and 417)
+    assert result.stats == search.SearchStats(nodes=417, served=0, entries=0,
+                                              extensions=466, closures=418)
 
 
 def test_n4_budgeted_run_certifies_47():
