@@ -367,7 +367,7 @@ def cmd_product(args) -> int:
         columns = ("k", "l", "m", "complexity", "bound", "within_bound")
         summary = None
     else:
-        records = family_products(ms=(args.m,), final_states=(args.fl,))
+        records = family_products(args.m, args.fl)
         rows = [dict(vars(rec)) for rec in records]
         failures = [f"{rec.family}{rec.spec} x {rec.variant} FL={rec.fl}: "
                     f"complexity {rec.complexity} > bound {rec.bound}"

@@ -182,21 +182,19 @@ def concatenation_bound(m: int, final_state: int) -> int:
     return 2 * m + 1 if final_state == 1 else 3 * m - 2
 
 
-def _variant_complexities(k_dfa: Dfa, final_states) -> dict:
-    """K . L's state complexity for every 2-state variant L and final state of L.
+def _variant_complexities(k_dfa: Dfa, final_state: int) -> dict:
+    """K . L's state complexity for each 2-state variant L with that one final state.
 
     The count ``product_complexity`` makes over the merged alphabet, where
     each operand's letters act as the identity on the other, as
-    ``{variant: {final state: complexity}}``.  A product state is a pair
-    (K state k, subset of L's states) encoded as ``l_mask << b | k`` with b
-    the bit length of m - 1, as in ``automata.product_complexity``, and
-    every move is one lookup table over those codes, built once per K: one
-    per letter of K and one per map of L.  Each reachable state holds L's
-    initial state 0 whenever its K state is final, so a letter that is the
-    identity on both operands (K's ``e``, L's ``id``) fixes every reachable
-    state; it adds no state and splits no class, and is left out.  The
-    exploration does not depend on L's final state, so the final states
-    share it.
+    ``{variant: complexity}``.  A product state is a pair (K state k,
+    subset of L's states) encoded as ``l_mask << b | k`` with b the bit
+    length of m - 1, as in ``automata.product_complexity``, and every move
+    is one lookup table over those codes, built once per K: one per letter
+    of K and one per map of L.  Each reachable state holds L's initial
+    state 0 whenever its K state is final, so a letter that is the identity
+    on both operands (K's ``e``, L's ``id``) fixes every reachable state; it
+    adds no state and splits no class, and is left out.
     """
     m = k_dfa.n
     b = (m - 1).bit_length()
@@ -215,19 +213,16 @@ def _variant_complexities(k_dfa: Dfa, final_states) -> dict:
             step = _union_step([1 << p for p in images])
             l_tables[name] = [step(l_mask) << b | code
                               for l_mask in range(4) for code in enter + pad]
-    complexities: dict[tuple, dict[int, int]] = {}
+    complexities: dict[tuple, int] = {}
     for variant in TWO_STATE_VARIANTS:
         moves = tuple(name for name in variant if name in l_tables)
         if moves not in complexities:
             tables = k_tables + [l_tables[name] for name in moves]
             successors = list(zip(*tables))  # per code, its successors in letter order
             order, rows = _explore(enter[k_dfa.initial], successors.__getitem__)
-            images = list(zip(*rows))
-            complexities[moves] = {}
-            for final_state in final_states:
-                finals = {i for i, code in enumerate(order) if code >> (b + final_state) & 1}
-                block = _refine(len(order), images, finals, range(len(order)))
-                complexities[moves][final_state] = max(block) + 1
+            finals = {i for i, code in enumerate(order) if code >> (b + final_state) & 1}
+            block = _refine(len(order), list(zip(*rows)), finals, range(len(order)))
+            complexities[moves] = max(block) + 1
         complexities[variant] = complexities[moves]
     return complexities
 
@@ -241,24 +236,22 @@ def _family_dfas(m: int):
         yield "scti", str(tree), build_family("scti", tree)
 
 
-def family_products(ms=(2, 3, 4, 5), final_states=(0, 1)) -> list[ProductRecord]:
-    """All family DFAs of the given sizes against all four 2-state variants."""
+def family_products(m: int, final_state: int) -> list[ProductRecord]:
+    """Every m-state family DFA against the four 2-state variants with that final state."""
+    bound = concatenation_bound(m, final_state)
     records = []
-    for m in ms:
-        for family, spec, k_dfa in _family_dfas(m):
-            complexities = _variant_complexities(k_dfa, final_states)
-            for variant in TWO_STATE_VARIANTS:
-                for final_state in final_states:
-                    complexity = complexities[variant][final_state]
-                    bound = concatenation_bound(m, final_state)
-                    records.append(ProductRecord(
-                        family=family,
-                        spec=spec,
-                        m=m,
-                        variant="+".join(variant),
-                        fl=final_state,
-                        complexity=complexity,
-                        bound=bound,
-                        within_bound=complexity <= bound,
-                    ))
+    for family, spec, k_dfa in _family_dfas(m):
+        complexities = _variant_complexities(k_dfa, final_state)
+        for variant in TWO_STATE_VARIANTS:
+            complexity = complexities[variant]
+            records.append(ProductRecord(
+                family=family,
+                spec=spec,
+                m=m,
+                variant="+".join(variant),
+                fl=final_state,
+                complexity=complexity,
+                bound=bound,
+                within_bound=complexity <= bound,
+            ))
     return records

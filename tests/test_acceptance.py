@@ -174,7 +174,8 @@ def test_c08_reversal_property():
 
 def test_c09_product_property():
     start = time.monotonic()
-    records = family_products(ms=(2, 3, 4, 5), final_states=(0, 1))
+    records = [rec for m in (2, 3, 4, 5) for final_state in (0, 1)
+               for rec in family_products(m, final_state)]
     violations = [r for r in records if not r.within_bound]
     assert violations == []
     assert {r.fl for r in records} == {0, 1}

@@ -356,6 +356,20 @@ def test_reversal_single_file(tmp_path, capsys):
     assert code == 0 and out.splitlines()[-1] == "violations: 0"
 
 
+def test_three_letter_dfa_meets_the_reversal_bound(tmp_path, capsys):
+    # two letters reach at most 13 at n = 4 (test_experiments.py); three reach 2^4 - 1
+    dfa_path = tmp_path / "d.dfa"
+    dfa_path.write_text("4 3\n0\n0 2\na: 0 0 1 2\nb: 0 1 1 2\nc: 1 2 3 3\n")
+    code, out, _ = run(capsys, "reversal", "--dfa", str(dfa_path), "--format", "json")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert (row["reachable"], row["complexity"], row["bound"]) == (4, 15, 15)
+    code, out, _ = run(capsys, "closure", str(dfa_path), "--format", "json")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert (row["size"], row["aperiodic"], row["minimal"]) == (19, True, True)
+
+
 def test_reversal_rejects_bad_input(tmp_path, capsys, monkeypatch):
     cyclic = tmp_path / "cyclic.dfa"
     cyclic.write_text("3 1\n0\n1\na: 1 0 2\n")  # a swaps 0 and 1

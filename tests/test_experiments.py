@@ -1,6 +1,7 @@
 """Reversal and product experiment drivers (small runs; acceptance runs full scale)."""
 
 import hashlib
+from itertools import combinations
 
 import pytest
 
@@ -18,7 +19,7 @@ from aperiodic.experiments import (
     reversal_record,
 )
 from aperiodic.rng import BLOCK, SplitMix64
-from aperiodic.semigroups import is_aperiodic
+from aperiodic.semigroups import aperiodic_transformations, closure, is_aperiodic
 from aperiodic.transforms import Transformation
 
 
@@ -132,22 +133,23 @@ def test_two_state_variants_are_minimal():
 
 
 def test_family_products_small():
-    records = family_products(ms=(2, 3), final_states=(0, 1))
-    assert records, "no instances generated"
-    for rec in records:
-        assert rec.within_bound, rec
-    # both bound regimes exercised
-    assert {rec.fl for rec in records} == {0, 1}
+    for m in (2, 3):
+        for final_state in (0, 1):
+            records = family_products(m, final_state)
+            assert records, "no instances generated"
+            assert {(rec.m, rec.fl) for rec in records} == {(m, final_state)}
+            for rec in records:
+                assert rec.within_bound, rec
 
 
 def test_family_products_match_per_record_path():
     # each record as one product_complexity call on K and L with the
     # alphabet merged, each operand's letters the identity on the other
     for m in (2, 3, 4, 5):
-        expected = []
-        for family, spec, k_dfa in _family_dfas(m):
-            for variant in TWO_STATE_VARIANTS:
-                for final_state in (0, 1):
+        for final_state in (0, 1):
+            expected = []
+            for family, spec, k_dfa in _family_dfas(m):
+                for variant in TWO_STATE_VARIANTS:
                     l_dfa = two_state_dfa(variant, final_state)
                     merged = k_dfa.alphabet + l_dfa.alphabet
                     complexity = product_complexity(oracle.extend_alphabet(k_dfa, merged),
@@ -155,8 +157,29 @@ def test_family_products_match_per_record_path():
                     bound = concatenation_bound(m, final_state)
                     expected.append((family, spec, m, "+".join(variant), final_state,
                                      complexity, bound, complexity <= bound))
-        records = family_products(ms=(m,), final_states=(0, 1))
-        assert [tuple(vars(rec).values()) for rec in records] == expected
-        for final_state in (0, 1):  # one final state alone gives the same records
-            assert family_products(ms=(m,), final_states=(final_state,)) == [
-                rec for rec in records if rec.fl == final_state]
+            records = family_products(m, final_state)
+            assert [tuple(vars(rec).values()) for rec in records] == expected
+
+
+@pytest.mark.parametrize("n,pairs,maximum,reached", [
+    (2, 3, 3, 2),
+    (3, 108, 7, 6),
+    (4, 6076, 13, 24),
+])
+def test_two_letter_reversal_maxima_are_exact(n, pairs, maximum, reached):
+    # every minimal DFA with initial state 0, non-empty proper finals and two
+    # distinct cycle-free letters of aperiodic joint closure; at n = 4 two
+    # letters fall short of 2^4 - 1, which three letters meet (test_cli.py)
+    letters = [Transformation(tuple(a)) for a in aperiodic_transformations(n)]
+    aperiodic_pairs = [pair for pair in combinations(letters, 2)
+                       if is_aperiodic(closure(pair))]
+    assert len(aperiodic_pairs) == pairs
+    complexities = []
+    for pair in aperiodic_pairs:
+        for mask in range(1, 2**n - 1):
+            d = Dfa(n=n, alphabet=("a", "b"), delta=pair, initial=0,
+                    finals=frozenset(q for q in range(n) if mask >> q & 1))
+            if is_minimal(d).minimal:
+                complexities.append(reversal_record(d).complexity)
+    assert max(complexities) == maximum
+    assert complexities.count(maximum) == reached

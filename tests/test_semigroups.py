@@ -13,6 +13,7 @@ from aperiodic import semigroups
 from aperiodic.combinatorics import unitary_family_size
 from aperiodic.families import enumerate_distributions
 from aperiodic.optimizer import UiDpTable
+from aperiodic.search import max_aperiodic
 from aperiodic.semigroups import (
     CycleFreeCandidates,
     aperiodic_transformations,
@@ -668,3 +669,35 @@ def test_transition_complete_leaves_scan_passes_to_extend_closure(monkeypatch):
     # {[1,1]}: [1,1] * [0,0] and [1,1] * [0,1] are both cycle-free
     assert is_transition_complete(closure([unitary(2, 0, 1)]))
     assert calls == [bytes([0, 0]), bytes([0, 1])]
+
+
+def test_every_aperiodic_subsemigroup_of_t3_by_brute_force():
+    # grow closed sets from the empty set: each closed C with each
+    # cycle-free x outside it, closed in full and kept if aperiodic
+    arrays = aperiodic_transformations(3)
+    cycle_free = set(arrays)
+    found = {}
+    level = [frozenset()]
+    while level:
+        grown = []
+        for c in level:
+            for x in arrays:
+                if x not in c:
+                    s = closure(t(*g) for g in c | {x})
+                    key = frozenset(s.element_arrays())
+                    if key not in found and is_aperiodic(s):
+                        found[key] = s
+                        grown.append(key)
+        level = grown
+    assert len(found) == 801
+    assert max(map(len, found)) == 10
+    complete = [s for s in found.values() if is_transition_complete(s)]
+    assert len(complete) == 9 and {len(s) for s in complete} == {10}
+    search = max_aperiodic(3, seed_with_family=False)
+    assert (search.size, search.distinct_maxima, search.exhaustive) == (10, 9, True)
+    # the first-level killer scan alone decides completeness on every one:
+    # a candidate outside S passes when no u in S makes u * x cyclic
+    for key, s in found.items():
+        passes = [x for x in arrays if x not in key and all(
+            u.translate(translation_table(x)) in cycle_free for u in key)]
+        assert (not passes) == is_transition_complete(s), sorted(key)
