@@ -6,6 +6,8 @@ formulas, the maximization dynamic programs, a budgeted depth-first search,
 and the reversal/product complexity experiments.
 """
 
+from types import ModuleType as _ModuleType
+
 from .transforms import (
     Transformation,
     compose,
@@ -63,5 +65,7 @@ from .combinatorics import (
 from .optimizer import max_sctree, max_unitary
 from .search import max_aperiodic
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# importing a submodule binds its name here too; it is not part of the API
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

@@ -22,8 +22,10 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle, filterfalse, islice, repeat
 
 from .automata import (
+    SUBSET_LIMIT,
     Dfa,
     _explore,
     _reachable_states,
@@ -57,29 +59,23 @@ def _closes_aperiodic(letters: list[bytes]) -> bool:
 def random_aperiodic_dfa(n: int, rng: SplitMix64) -> Dfa:
     """Rejection-sample a DFA whose transition semigroup is aperiodic.
 
-    A draw has 2 or 3 letters, each drawn from the cycle-free
-    transformations; it is accepted only when the joint closure stays
-    aperiodic, and rejected at the first element with a cycle.  Finals are a
-    non-empty proper subset so the language is non-trivial, drawn as one
-    64-bit output, so n is at most 64.
+    A draw has 2 or 3 letters, taken in order from a stream of n-image
+    draws filtered down to the cycle-free transformations; it is accepted
+    only when the joint closure stays aperiodic, and rejected at the first
+    element with a cycle.  Finals are a non-empty proper subset so the
+    language is non-trivial, drawn as one 64-bit output, so n is at most 64.
     """
     if not 2 <= n <= 64:
         raise ValueError("sampling needs 2 <= n <= 64")
+    cycle_free = filterfalse(has_cycle_images, map(bytes, map(rng.draws, repeat(n), repeat(n))))
     for _ in range(SAMPLE_ATTEMPTS):
-        k = 2 + rng.draws(2, 1)[0]
-        letters = []
-        for _ in range(k):
-            while True:
-                images = bytes(rng.draws(n, n))
-                if not has_cycle_images(images):
-                    break
-            letters.append(images)
+        letters = list(islice(cycle_free, 2 + rng.draws(2, 1)[0]))
         if not _closes_aperiodic(letters):
             continue
         delta = [Transformation(tuple(images)) for images in letters]
         finals_mask = rng.draws(2**n - 2, 1)[0] + 1  # non-empty, proper
         finals = frozenset(q for q in range(n) if finals_mask >> q & 1)
-        return Dfa(n=n, alphabet=tuple(_LETTERS[:k]), delta=tuple(delta),
+        return Dfa(n=n, alphabet=tuple(_LETTERS[:len(letters)]), delta=tuple(delta),
                    initial=0, finals=finals)
     raise RuntimeError("sampling did not find an aperiodic DFA within the attempt limit")
 
@@ -143,12 +139,14 @@ def reversal_record(d: Dfa) -> ReversalRecord:
 def reversal_experiment(seed: int, count: int, ns=(2, 3, 4, 5, 6)) -> list[ReversalRecord]:
     """Sample ``count`` aperiodic DFAs spread over the given sizes.
 
+    Sizes outside 2..``SUBSET_LIMIT`` are refused before anything is drawn.
     The records draw nothing, so the DFAs are those drawn back to back
     from one ``SplitMix64(seed)``.
     """
+    if not ns or not all(2 <= n <= SUBSET_LIMIT for n in ns):
+        raise ValueError(f"reversal sizes need 2 <= n <= {SUBSET_LIMIT}, at least one")
     rng = SplitMix64(seed)
-    return [reversal_record(random_aperiodic_dfa(ns[i % len(ns)], rng))
-            for i in range(count)]
+    return [reversal_record(random_aperiodic_dfa(n, rng)) for n in islice(cycle(ns), count)]
 
 
 # The three aperiodic maps of a 2-state set, by short name, as images.

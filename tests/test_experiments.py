@@ -7,7 +7,14 @@ import pytest
 
 import automata_oracle as oracle
 import rng_oracle as per_draw
-from aperiodic.automata import Dfa, is_minimal, product_complexity, transition_semigroup
+from aperiodic import experiments, rng as rng_module
+from aperiodic.automata import (
+    SUBSET_LIMIT,
+    Dfa,
+    is_minimal,
+    product_complexity,
+    transition_semigroup,
+)
 from aperiodic.experiments import (
     _TWO_STATE,
     TWO_STATE_VARIANTS,
@@ -70,6 +77,31 @@ def test_splitmix_blocks_match_per_draw_oracle():
             assert ours.draws(bound, 1) == [oracle.below(bound)]
 
 
+def test_splitmix_computes_blocks_on_demand(monkeypatch):
+    block, made = rng_module._block, []
+
+    def counting_block(start):
+        made.append(start)
+        return block(start)
+
+    monkeypatch.setattr(rng_module, "_block", counting_block)
+    rng = SplitMix64(5)
+    assert made == []
+    rng.draws(2**64, BLOCK)
+    assert len(made) == 1
+    rng.draws(2**64, 1)
+    assert len(made) == 2
+    # a refused draw reads nothing: the stream goes on where it stopped
+    rng = SplitMix64(5)
+    made.clear()
+    for bound in (0, -1, 2**64 + 1):
+        for count in (0, 1):
+            with pytest.raises(ValueError):
+                rng.draws(bound, count)
+    assert made == []
+    assert rng.draws(2**64, 1) == [per_draw.SplitMix64(5).next64()]
+
+
 def test_random_aperiodic_dfa():
     rng = SplitMix64(5)
     for n in (2, 4, 6):
@@ -114,6 +146,16 @@ def test_reversal_experiment_draws_only_the_dfas():
     rng = SplitMix64(3)
     dfas = [random_aperiodic_dfa(ns[i % len(ns)], rng) for i in range(12)]
     assert reversal_experiment(3, 12, ns) == [reversal_record(d) for d in dfas]
+
+
+@pytest.mark.parametrize("ns", [(), (4, 1), (SUBSET_LIMIT + 1,)])
+def test_reversal_experiment_refuses_sizes_before_drawing(monkeypatch, ns):
+    def no_draw(n, rng):
+        raise AssertionError("drew a DFA")
+
+    monkeypatch.setattr(experiments, "random_aperiodic_dfa", no_draw)
+    with pytest.raises(ValueError, match=f"2 <= n <= {SUBSET_LIMIT}"):
+        reversal_experiment(1, 3, ns)
 
 
 def two_state_dfa(variant, final_state: int) -> Dfa:

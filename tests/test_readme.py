@@ -1,12 +1,16 @@
-"""The README's library tour runs as written; its CLI lines parse."""
+"""The README's library tour runs as written; its CLI lines parse; its module
+map has one row per module; the package exports its API and no module."""
 
 import re
 import shlex
 from pathlib import Path
+from types import ModuleType
 
+import aperiodic
 from aperiodic import cli
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_library_tour_runs():
@@ -25,3 +29,16 @@ def test_readme_cli_lines_parse():
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_module_map_has_one_row_per_module():
+    table = README.read_text().split("\n## Module map\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` ", table, re.M)
+    modules = {path.stem for path in (ROOT / "src" / "aperiodic").glob("*.py")}
+    assert sorted(rows) == sorted(modules - {"__init__", "__main__"})
+
+
+def test_package_all_is_the_api():
+    assert aperiodic.__all__
+    for name in aperiodic.__all__:
+        assert not isinstance(getattr(aperiodic, name), ModuleType), name
