@@ -10,16 +10,19 @@ states is one lookup and the tables stay small up to the n <= 20 limit.
 ``_reverse_explore`` is the reversal's exploration, shared by
 ``reverse_determinize`` and the reversal experiment, which counts classes
 on the explored masks and builds no ``Dfa``.
-``product_complexity`` counts the classes of the product's subsets and
-builds no ``Dfa``, for callers that need only the state count of
-``product_dfa`` (``product --files``; the product experiment runs the
-explorer and refinement over tables of its own).  Everything here runs at
-desk scale.
+``_product_explore`` is the one product construction.  It takes both
+operands as image columns and builds the image row of each L subset once,
+when the subset is first met.  ``product_dfa`` quotients its exploration;
+``product_complexity`` (``product --files``) and the product experiment,
+which pairs each family DFA with 2-state maps on a merged alphabet, count
+its classes through ``_product_classes`` and build no ``Dfa``.  Everything
+here runs at desk scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 
 from .semigroups import DEFAULT_ELEMENT_BUDGET, Semigroup, closure
 from .transforms import Transformation
@@ -79,7 +82,7 @@ def parse_dfa(text: str) -> Dfa:
         raise ValueError(f"line {i + 1}: {msg}")
 
     if len(lines) < 3:
-        raise ValueError("a DFA file needs at least 3 lines")
+        fail(len(lines), "a DFA file needs at least 3 lines")
     head = lines[0].split()
     if len(head) != 2:
         fail(0, "expected 'n k'")
@@ -106,7 +109,7 @@ def parse_dfa(text: str) -> Dfa:
         if not 0 <= q < n:
             fail(2, f"final state {q} is outside [0, {n - 1}]")
     if len(lines) < 3 + k:
-        raise ValueError(f"expected {k} letter lines, found {len(lines) - 3}")
+        fail(len(lines), f"expected {k} letter lines, found {len(lines) - 3}")
     alphabet, delta = [], []
     for i in range(3, 3 + k):
         if ":" not in lines[i]:
@@ -307,38 +310,56 @@ def minimize(d: Dfa) -> Dfa:
                      d.alphabet)
 
 
-def _product_explore(k_dfa: Dfa, l_dfa: Dfa):
-    """The subset construction of the concatenation L(K) . L(L).
+def _product_explore(m, k_images, k_initial, k_finals, l_images, l_initial, l_finals):
+    """The subset construction of the concatenation of K and L.
 
+    K's states are 0..m-1.  ``k_images`` and ``l_images`` hold one image
+    column per letter, K's column i read together with L's column i.
     Returns the state count, one image column per letter and the accepting
     states, numbered in BFS order from the start state, all reachable.  The
     epsilon-NFA has epsilon edges from K's finals to L's initial state.  K is
     deterministic, so every reachable subset holds exactly one K state: a
     subset is a pair (K state k, subset of L's states), stored as
-    ``l_mask << b | k`` with b the bit length of m - 1.
+    ``l_mask << b | k`` with b the bit length of m - 1.  A state's successors
+    OR its K state's entry codes with its L subset's images; both rows are
+    built once, the L row when its subset is first met.
     """
-    if k_dfa.alphabet != l_dfa.alphabet:
-        raise ValueError("product requires the same alphabet on both DFAs")
-    m = k_dfa.n
-    if m + l_dfa.n > SUBSET_LIMIT:
-        raise ValueError(f"subset construction is limited to {SUBSET_LIMIT} states")
     b = (m - 1).bit_length()
     # the pair entered with K state k: a final k starts a run of L
-    enter = [(1 << (l_dfa.initial + b) if k in k_dfa.finals else 0) | k for k in range(m)]
-    l_steps = {tl.images: _union_step([1 << (p + b) for p in tl.images])
-               for tl in set(l_dfa.delta)}
-    moves = [([enter[k2] for k2 in tk.images], l_steps[tl.images])
-             for tk, tl in zip(k_dfa.delta, l_dfa.delta)]
+    enter = [(1 << (l_initial + b) if k in k_finals else 0) | k for k in range(m)]
+    k_rows = [[enter[img[k]] for img in k_images] for k in range(m)]
+    steps = {img: _union_step([1 << (p + b) for p in img]) for img in set(l_images)}
+    l_steps = [steps[img] for img in l_images]
+    l_rows: dict[int, list[int]] = {}
     low = (1 << b) - 1
 
-    def successors(state: int) -> list[int]:
-        l_mask, k = state >> b, state & low
-        return [step(l_mask) | k_enter[k] for k_enter, step in moves]
+    def successors(state: int):
+        l_mask = state >> b
+        l_row = l_rows.get(l_mask)
+        if l_row is None:
+            l_row = l_rows[l_mask] = [step(l_mask) for step in l_steps]
+        return map(or_, k_rows[state & low], l_row)
 
-    order, rows = _explore(enter[k_dfa.initial], successors)
-    l_final_mask = sum(1 << (q + b) for q in l_dfa.finals)
+    order, rows = _explore(enter[k_initial], successors)
+    l_final_mask = sum(1 << (q + b) for q in l_finals)
     finals = {i for i, state in enumerate(order) if state & l_final_mask}
     return len(order), list(zip(*rows)), finals
+
+
+def _product_classes(*operands) -> int:
+    """The class count of ``_product_explore(*operands)``: K L's state complexity."""
+    n, images, finals = _product_explore(*operands)
+    return max(_refine(n, images, finals, range(n))) + 1
+
+
+def _product_operands(k_dfa: Dfa, l_dfa: Dfa) -> tuple:
+    """``_product_explore``'s arguments for two DFAs over one alphabet."""
+    if k_dfa.alphabet != l_dfa.alphabet:
+        raise ValueError("product requires the same alphabet on both DFAs")
+    if k_dfa.n + l_dfa.n > SUBSET_LIMIT:
+        raise ValueError(f"subset construction is limited to {SUBSET_LIMIT} states")
+    return (k_dfa.n, [t.images for t in k_dfa.delta], k_dfa.initial, k_dfa.finals,
+            [t.images for t in l_dfa.delta], l_dfa.initial, l_dfa.finals)
 
 
 def product_dfa(k_dfa: Dfa, l_dfa: Dfa) -> Dfa:
@@ -348,7 +369,7 @@ def product_dfa(k_dfa: Dfa, l_dfa: Dfa) -> Dfa:
     refined and quotiented directly; the result's state count is the
     quotient complexity of the product.
     """
-    n, images, finals = _product_explore(k_dfa, l_dfa)
+    n, images, finals = _product_explore(*_product_operands(k_dfa, l_dfa))
     return _quotient(n, images, finals, range(n), k_dfa.alphabet)
 
 
@@ -357,6 +378,4 @@ def product_complexity(k_dfa: Dfa, l_dfa: Dfa) -> int:
 
     The number of classes the refinement makes of the explored subsets.
     """
-    n, images, finals = _product_explore(k_dfa, l_dfa)
-    return max(_refine(n, images, finals, range(n))) + 1
-
+    return _product_classes(*_product_operands(k_dfa, l_dfa))

@@ -13,10 +13,9 @@ than a full closure.
 The product run pairs family DFAs (single final state) with the four minimal
 aperiodic 2-state DFAs and checks the concatenation complexity ceilings
 2m + 1 (final state 1) and 3m - 2 (final state 0).  It builds no DFA per
-product: each family DFA's moves on the encoded product states are lookup
-tables built once and shared by the four 2-state operands, and the state
-count is the class count of ``automata``'s explorer and refinement over
-them.
+product: each state count is the class count of ``automata``'s one product
+construction, given the family DFA's image columns and the 2-state maps on
+the merged alphabet.
 """
 
 from __future__ import annotations
@@ -27,11 +26,9 @@ from itertools import cycle, filterfalse, islice, repeat
 from .automata import (
     SUBSET_LIMIT,
     Dfa,
-    _explore,
+    _product_classes,
     _reachable_states,
-    _refine,
     _reverse_explore,
-    _union_step,
     reverse_steps,
 )
 from .families import build_family, enumerate_distributions, enumerate_structures
@@ -180,51 +177,6 @@ def concatenation_bound(m: int, final_state: int) -> int:
     return 2 * m + 1 if final_state == 1 else 3 * m - 2
 
 
-def _variant_complexities(k_dfa: Dfa, final_state: int) -> dict:
-    """K . L's state complexity for each 2-state variant L with that one final state.
-
-    The count ``product_complexity`` makes over the merged alphabet, where
-    each operand's letters act as the identity on the other, as
-    ``{variant: complexity}``.  A product state is a pair (K state k,
-    subset of L's states) encoded as ``l_mask << b | k`` with b the bit
-    length of m - 1, as in ``automata.product_complexity``, and every move
-    is one lookup table over those codes, built once per K: one per letter
-    of K and one per map of L.  Each reachable state holds L's initial
-    state 0 whenever its K state is final, so a letter that is the identity
-    on both operands (K's ``e``, L's ``id``) fixes every reachable state; it
-    adds no state and splits no class, and is left out.
-    """
-    m = k_dfa.n
-    b = (m - 1).bit_length()
-    # the pair entered with K state k: a final k starts a run of L
-    enter = [(1 << b if k in k_dfa.finals else 0) | k for k in range(m)]
-    pad = [0] * ((1 << b) - m)  # codes with k >= m, never reached
-    identity = tuple(range(m))
-    k_tables = []
-    for t in k_dfa.delta:
-        if t.images != identity:
-            entered = [enter[p] for p in t.images] + pad
-            k_tables.append([l_mask << b | code for l_mask in range(4) for code in entered])
-    l_tables = {}
-    for name, images in _TWO_STATE.items():
-        if images != (0, 1):
-            step = _union_step([1 << p for p in images])
-            l_tables[name] = [step(l_mask) << b | code
-                              for l_mask in range(4) for code in enter + pad]
-    complexities: dict[tuple, int] = {}
-    for variant in TWO_STATE_VARIANTS:
-        moves = tuple(name for name in variant if name in l_tables)
-        if moves not in complexities:
-            tables = k_tables + [l_tables[name] for name in moves]
-            successors = list(zip(*tables))  # per code, its successors in letter order
-            order, rows = _explore(enter[k_dfa.initial], successors.__getitem__)
-            finals = {i for i, code in enumerate(order) if code >> (b + final_state) & 1}
-            block = _refine(len(order), list(zip(*rows)), finals, range(len(order)))
-            complexities[moves] = max(block) + 1
-        complexities[variant] = complexities[moves]
-    return complexities
-
-
 def _family_dfas(m: int):
     """(family, spec, DFA) for every ui and scti family DFA with m states."""
     for dist in enumerate_distributions(m):
@@ -235,13 +187,30 @@ def _family_dfas(m: int):
 
 
 def family_products(m: int, final_state: int) -> list[ProductRecord]:
-    """Every m-state family DFA against the four 2-state variants with that final state."""
+    """Every m-state family DFA against the four 2-state variants with that final state.
+
+    Each complexity is the count ``product_complexity`` makes over the merged
+    alphabet, where each operand's letters act as the identity on the other:
+    K's letters paired with L's ``id``, then L's maps paired with K's
+    identity.  Each reachable state holds L's initial state 0 whenever its K
+    state is final, so a letter that is the identity on both operands (K's
+    ``e``, L's ``id``) fixes every reachable state; it adds no state and
+    splits no class, and is left out, so variants that differ only by ``id``
+    share one count.
+    """
     bound = concatenation_bound(m, final_state)
+    identity = tuple(range(m))
     records = []
     for family, spec, k_dfa in _family_dfas(m):
-        complexities = _variant_complexities(k_dfa, final_state)
+        k_images = [t.images for t in k_dfa.delta if t.images != identity]
+        complexities: dict[tuple, int] = {}
         for variant in TWO_STATE_VARIANTS:
-            complexity = complexities[variant]
+            moves = tuple(_TWO_STATE[name] for name in variant if name != "id")
+            if moves not in complexities:
+                complexities[moves] = _product_classes(
+                    m, k_images + [identity] * len(moves), k_dfa.initial, k_dfa.finals,
+                    [_TWO_STATE["id"]] * len(k_images) + list(moves), 0, {final_state})
+            complexity = complexities[moves]
             records.append(ProductRecord(
                 family=family,
                 spec=spec,

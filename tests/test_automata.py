@@ -46,6 +46,10 @@ def test_dfa_validation():
         Dfa(n=2, alphabet=("a",), delta=(t(0, 1),), initial=2, finals=frozenset())
     with pytest.raises(ValueError):
         Dfa(n=2, alphabet=("a",), delta=(t(0, 1, 2),), initial=0, finals=frozenset())
+    with pytest.raises(ValueError, match="at least one state"):
+        Dfa(n=0, alphabet=(), delta=(), initial=0, finals=frozenset())
+    with pytest.raises(ValueError, match="final state out of range"):
+        Dfa(n=2, alphabet=("a",), delta=(t(0, 1),), initial=0, finals=frozenset({2}))
 
 
 def test_text_format_roundtrip():
@@ -91,10 +95,15 @@ def test_parse_dfa_errors_cite_lines():
         ("2 0\n0\n1 4\n", "line 3"),  # final state out of range
         ("2 1\n0\n1\na: 0 5\n", "line 4"),  # image out of range
         ("2 2\n0\n1\na: 1 1\na: 0 0\n", "line 5"),  # repeated label
+        ("2 1\n0\n", "line 3"),  # fewer than 3 lines
+        ("2 2\n0\n1\na: 0 1\n", "line 5"),  # a missing letter line
+        ("2 1\n0\nx\na: 0 1\n", "line 3"),  # non-integer finals
+        ("2 1\n0\n1\na 0 1\n", "line 4"),  # a letter line without ':'
+        ("2 1\n0\n1\na: 0 x\n", "line 4"),  # non-integer image
     ]:
         with pytest.raises(ValueError) as err:
             parse_dfa(text)
-        assert line in str(err.value), text
+        assert str(err.value).startswith(f"{line}: "), text
 
 
 def test_is_minimal_families():

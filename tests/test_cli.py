@@ -16,7 +16,7 @@ from aperiodic import cli
 from aperiodic.automata import SUBSET_LIMIT
 from aperiodic.cli import main
 from aperiodic.combinatorics import sctree_size, unitary_family_size
-from aperiodic.experiments import random_aperiodic_dfa
+from aperiodic.experiments import ProductRecord, ReversalRecord, random_aperiodic_dfa
 from aperiodic.families import parse_distribution, parse_structure
 from aperiodic.rng import SplitMix64
 from aperiodic.semigroups import MAX_STATES
@@ -201,7 +201,12 @@ def test_closure_parse_error_cites_line(tmp_path, capsys):
     bad = tmp_path / "bad.dfa"
     for text, line in (("2 1\n0\n1\na: 0\n", "line 4"),  # wrong image count
                        ("2 1\n0\n1\na: 1 1\nb: 0 0\n", "line 5"),  # a letter past k
-                       ("2 -1\n0\n1\n", "line 1")):  # a negative letter count
+                       ("2 -1\n0\n1\n", "line 1"),  # a negative letter count
+                       ("2 1\n0\n", "line 3"),  # fewer than 3 lines
+                       ("2 2\n0\n1\na: 0 1\n", "line 5"),  # a missing letter line
+                       ("2 1\n0\nx\na: 0 1\n", "line 3"),  # non-integer finals
+                       ("2 1\n0\n1\na 0 1\n", "line 4"),  # a letter line without ':'
+                       ("2 1\n0\n1\na: 0 x\n", "line 4")):  # non-integer image
         bad.write_text(text)
         for argv in (("closure", str(bad)), ("product", "--files", str(bad), str(bad))):
             code, out, err = run(capsys, *argv)
@@ -547,6 +552,50 @@ def test_product_files_bound_outside_its_domain(tmp_path, capsys, k_text, l_text
     assert row["complexity"] == complexity
     assert "bound" not in row and "within_bound" not in row
     assert payload["failures"] == []
+
+
+def _failed_reversal(d):
+    return ReversalRecord(n=d.n, letters=len(d.alphabet), reachable=d.n, complexity=9, bound=3,
+                          within_bound=False, complement_identity=False,
+                          complement_unreached=False)
+
+
+_FAILED_PRODUCT = ProductRecord(family="ui", spec="(2)", m=2, variant="c1", fl=1,
+                                complexity=9, bound=5, within_bound=False)
+
+
+@pytest.mark.parametrize("argv, patch, failures, violations", [
+    (("family", "ui", "(2,1)", "--verify"),
+     lambda mp: mp.setenv("APERIODIC_BUDGET", "18"),  # room for 6 elements of 8
+     ["closure truncated; raise the budget"], None),
+    (("family", "ui", "(2,1)", "--verify"),
+     lambda mp: mp.setattr(cli.comb, "unitary_family_size", lambda spec: 9),
+     ["formula 9 != closure 8"], None),
+    (("reversal", "--dfa", "k.dfa"),
+     lambda mp: mp.setattr(cli, "reversal_record", _failed_reversal),
+     ["instance 0: complexity 9 > bound 3", "instance 0: complement identity violated",
+      "instance 0: complement of F reached from F"], 3),
+    (("product", "--files", "k.dfa", "l.dfa"),
+     lambda mp: mp.setattr(cli, "product_complexity", lambda k_dfa, l_dfa: 9),
+     ["complexity 9 > bound 5"], 1),
+    (("product", "--m", "2", "--fl", "1"),
+     lambda mp: mp.setattr(cli, "family_products", lambda m, fl: [_FAILED_PRODUCT]),
+     ["ui(2) x c1 FL=1: complexity 9 > bound 5"], 1),
+], ids=["family-truncated", "family-mismatch", "reversal", "product-files", "product-m"])
+def test_failed_checks_exit_1_and_are_listed(tmp_path, monkeypatch, capsys, argv, patch,
+                                             failures, violations):
+    monkeypatch.chdir(tmp_path)
+    Path("k.dfa").write_text("2 2\n0\n1\na: 1 1\nb: 0 0\n")
+    Path("l.dfa").write_text("2 2\n0\n1\na: 1 1\nb: 0 1\n")
+    patch(monkeypatch)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 1 and err == ""
+    assert payload["failures"] == failures
+    assert payload.get("violations") == violations  # family reports no count
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err == "".join(f"FAIL: {failure}\n" for failure in failures)
 
 
 # sha256 of `reversal --random --seed 1 --count 40 --n N --format json`

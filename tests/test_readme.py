@@ -1,6 +1,8 @@
 """The README's library tour runs as written; its CLI lines parse; its module
-map has one row per module; the package exports its API and no module."""
+map has one row per module; the package exports its API and no module; no
+library module imports a name it does not use."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -42,3 +44,20 @@ def test_package_all_is_the_api():
     assert aperiodic.__all__
     for name in aperiodic.__all__:
         assert not isinstance(getattr(aperiodic, name), ModuleType), name
+
+
+def test_library_modules_use_every_name_they_import():
+    # __init__ re-exports what it imports, so it is exempt
+    for path in sorted((ROOT / "src" / "aperiodic").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.split(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} imports {sorted(imported - used)} unused"

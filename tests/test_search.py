@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import inspect
+import json
 import random
 import sys
 
@@ -245,6 +246,23 @@ def test_checkpoint_resume_unseeded(tmp_path):
         assert result.size == APERIODIC_KNOWN[3]
         assert len(result.verify()) == result.size
     assert again.products_used == 0 and _lines(path) == rest_lines
+
+
+def test_clock_cut_stops_at_the_first_gap(tmp_path, capsys):
+    # the first clock read, at the root's first gap, cuts the run: that gap
+    # pays one product, and the best is the root (size 1) or the seed
+    for n, seeded in ((3, 10), (4, 47)):
+        cut = max_aperiodic(n, max_seconds=1e-9, seed_with_family=False)
+        assert (cut.size, cut.products_used, cut.exhaustive) == (1, 1, False)
+        assert max_aperiodic(n, max_seconds=1e-9).size == seeded
+    path = tmp_path / "search.ckpt"
+    code = main(["search", "3", "--max-seconds", "1e-9", "--checkpoint", str(path),
+                 "--format", "json"])
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert code == 0 and row["provenance"] == "search-bounded"
+    assert len(_lines(path)) == 1  # the header alone: no branch was finished
+    rest = max_aperiodic(3, checkpoint_path=str(path))
+    assert rest.exhaustive and rest.size == 10
 
 
 def test_checkpoint_rejects_foreign_or_false_lines(tmp_path):

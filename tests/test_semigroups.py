@@ -69,6 +69,8 @@ def test_closure_rejects_bad_input():
         closure([identity(2), identity(3)])
     with pytest.raises(ValueError):
         closure([identity(3)], element_budget=2)
+    with pytest.raises(ValueError, match="at most 255 states"):
+        closure([identity(256)])
 
 
 def test_closure_budget_truncation():

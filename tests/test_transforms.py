@@ -74,8 +74,9 @@ def test_semiconstant():
     assert semiconstant(3, {0}, 1) == unitary(3, 0, 1)
     assert semiconstant(4, {1, 2, 3}, 1) == t(0, 1, 1, 1)
     assert constant(2, 1) == t(1, 1)
-    with pytest.raises(ValueError):
-        semiconstant(3, set(), 0)
+    for moved, q in ((set(), 0), ([0], 5), ([7], 0)):  # empty P, target or state outside
+        with pytest.raises(ValueError):
+            semiconstant(3, moved, q)
 
 
 def test_has_cycle_basics():
@@ -245,6 +246,8 @@ def test_transformation_text_roundtrip():
         Transformation.from_text("1,1,2")
     with pytest.raises(ValueError):
         Transformation.from_text("[1,x]")
+    with pytest.raises(ValueError, match="empty transformation"):
+        Transformation.from_text("[]")
 
 
 def test_transformation_validation():
