@@ -7,7 +7,8 @@ the state complexity, the number of distinct subsets left once each is cut
 down to the DFA's reachable states (Brzozowski's reversal argument), and
 the identity is checked exactly on the explored subsets, letter by letter.
 A record draws no random numbers; the sampler alone reads the seed's stream.
-The sampler closes a draw's letters one at a time with the early-abort
+The sampler draws each letter as a Prüfer code, so every letter is
+cycle-free, and closes a draw's letters one at a time with the early-abort
 ``extend_closure``, so most rejected draws cost a few small levels rather
 than a full closure.
 The product run pairs family DFAs (single final state) with the four minimal
@@ -21,7 +22,7 @@ the merged alphabet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle, filterfalse, islice, repeat
+from itertools import cycle, islice
 
 from .automata import (
     SUBSET_LIMIT,
@@ -34,7 +35,7 @@ from .automata import (
 from .families import build_family, enumerate_distributions, enumerate_structures
 from .rng import SplitMix64
 from .semigroups import extend_closure
-from .transforms import Transformation, has_cycle_images, translation_table
+from .transforms import Transformation, translation_table
 
 _LETTERS = "abc"
 SAMPLE_ATTEMPTS = 100_000
@@ -53,20 +54,42 @@ def _closes_aperiodic(letters: list[bytes]) -> bool:
     return True
 
 
+def _forest(code: list[int], n: int) -> bytes:
+    """The cycle-free map on 0..n-1 whose tree has Prüfer code ``code`` over 0..n.
+
+    Decoding removes the smallest leaf each step (Prüfer, 1918).  Vertex n
+    is never removed, so a removed leaf's neighbour is its parent in the
+    tree rooted at n.  State q maps to its parent, or to itself when that
+    parent is n.  This is a bijection from the (n+1)^(n-1) codes onto the
+    cycle-free maps on n states: the rooted forests, roots the fixed points.
+    """
+    degree = [1] * (n + 1)
+    for v in code:
+        degree[v] += 1
+    images = bytearray(range(n))
+    for v in code + [n]:
+        leaf = degree.index(1)
+        degree[leaf] = 0
+        degree[v] -= 1
+        if v != n:
+            images[leaf] = v
+    return bytes(images)
+
+
 def random_aperiodic_dfa(n: int, rng: SplitMix64) -> Dfa:
     """Rejection-sample a DFA whose transition semigroup is aperiodic.
 
-    A draw has 2 or 3 letters, taken in order from a stream of n-image
-    draws filtered down to the cycle-free transformations; it is accepted
-    only when the joint closure stays aperiodic, and rejected at the first
-    element with a cycle.  Finals are a non-empty proper subset so the
-    language is non-trivial, drawn as one 64-bit output, so n is at most 64.
+    A draw has 2 or 3 letters, each uniform over the cycle-free
+    transformations: n - 1 draws below n + 1, decoded by ``_forest``.  It is
+    accepted only when the joint closure stays aperiodic, and rejected at
+    the first element with a cycle.  Finals are a non-empty proper subset so
+    the language is non-trivial, drawn as one 64-bit output, so n is at
+    most 64.
     """
     if not 2 <= n <= 64:
         raise ValueError("sampling needs 2 <= n <= 64")
-    cycle_free = filterfalse(has_cycle_images, map(bytes, map(rng.draws, repeat(n), repeat(n))))
     for _ in range(SAMPLE_ATTEMPTS):
-        letters = list(islice(cycle_free, 2 + rng.draws(2, 1)[0]))
+        letters = [_forest(rng.draws(n + 1, n - 1), n) for _ in range(2 + rng.draws(2, 1)[0])]
         if not _closes_aperiodic(letters):
             continue
         delta = [Transformation(tuple(images)) for images in letters]
@@ -136,12 +159,14 @@ def reversal_record(d: Dfa) -> ReversalRecord:
 def reversal_experiment(seed: int, count: int, ns=(2, 3, 4, 5, 6)) -> list[ReversalRecord]:
     """Sample ``count`` aperiodic DFAs spread over the given sizes.
 
-    Sizes outside 2..``SUBSET_LIMIT`` are refused before anything is drawn.
-    The records draw nothing, so the DFAs are those drawn back to back
-    from one ``SplitMix64(seed)``.
+    Sizes outside 2..``SUBSET_LIMIT`` and a negative count are refused
+    before anything is drawn.  The records draw nothing, so the DFAs are
+    those drawn back to back from one ``SplitMix64(seed)``.
     """
     if not ns or not all(2 <= n <= SUBSET_LIMIT for n in ns):
         raise ValueError(f"reversal sizes need 2 <= n <= {SUBSET_LIMIT}, at least one")
+    if count < 0:
+        raise ValueError("reversal count must be at least 0")
     rng = SplitMix64(seed)
     return [reversal_record(random_aperiodic_dfa(n, rng)) for n in islice(cycle(ns), count)]
 

@@ -114,12 +114,10 @@ def _read_checkpoint(path: str, header: str, n: int):
 
 def _orbit_minimal(candidate: bytes, n: int) -> bool:
     """True iff candidate is the lex-least among its relabelings."""
-    images = tuple(candidate)
+    relabeled = bytearray(n)
     for sigma in permutations(range(n)):
-        inverse = [0] * n
-        for i, s in enumerate(sigma):
-            inverse[s] = i
-        relabeled = bytes(sigma[images[inverse[q]]] for q in range(n))
+        for q, image in enumerate(candidate):
+            relabeled[sigma[q]] = sigma[image]
         if relabeled < candidate:
             return False
     return True

@@ -109,6 +109,7 @@ def test_parse_dfa_errors_cite_lines():
 def test_is_minimal_families():
     assert is_minimal(UI21).minimal
     assert is_minimal(build_family("scti", parse_structure("(2,2)"))).minimal
+    assert bool(is_minimal(UI21))
 
 
 def test_is_minimal_witnesses():
@@ -116,6 +117,7 @@ def test_is_minimal_witnesses():
                     finals=frozenset())
     report = is_minimal(no_finals)
     assert not report.minimal and report.equivalent == (0, 1)
+    assert not bool(report)
 
     unreachable = Dfa(n=2, alphabet=("a",), delta=(t(0, 1),), initial=0,
                       finals=frozenset({1}))

@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import automata_oracle as oracle
+import rng_oracle
 from aperiodic import cli
 from aperiodic.automata import SUBSET_LIMIT
 from aperiodic.cli import main
 from aperiodic.combinatorics import sctree_size, unitary_family_size
-from aperiodic.experiments import ProductRecord, ReversalRecord, random_aperiodic_dfa
+from aperiodic.experiments import ProductRecord, ReversalRecord
 from aperiodic.families import parse_distribution, parse_structure
-from aperiodic.rng import SplitMix64
 from aperiodic.semigroups import MAX_STATES
 
 GOLDEN = Path(__file__).parent / "data" / "golden_table.txt"
@@ -600,8 +600,8 @@ def test_failed_checks_exit_1_and_are_listed(tmp_path, monkeypatch, capsys, argv
 
 # sha256 of `reversal --random --seed 1 --count 40 --n N --format json`
 REVERSAL_DIGESTS = {
-    7: "2ca64fdeeebf80dfade1ecaaefdd18a116b975757fc8558fae34281e8921bd5c",
-    8: "a894d0cfbda2e55625556180040b643c624f58570d025aa11122cc1652ddc7c8",
+    7: "5948f679dfeb36078e0c9485896ab6fcdf6576e62b638116df77285d669276c0",
+    8: "f9f6c6b2d4b572dbbccd6771bcf8bfb6444ea7f9ca3b3087e0920b746e2171ff",
 }
 
 
@@ -610,11 +610,12 @@ def test_pinned_reversal_samples_match_oracle(n):
     # the pinned JSON rebuilt record by record from the per-bit oracle: the
     # minimized subset DFA's size, the bound on the reachable states, and
     # both complement checks over the subsets reached from F; the records
-    # draw nothing, so the DFAs are drawn back to back from one stream
-    rng = SplitMix64(1)
+    # draw nothing, so the DFAs are the sampler oracle's, drawn back to back
+    # from one per-draw stream
+    rng = rng_oracle.SplitMix64(1)
     rows = []
     for i in range(40):
-        d = random_aperiodic_dfa(n, rng)
+        d = rng_oracle.sample_aperiodic_dfa(n, rng)
         subset_dfa, subsets = oracle.reverse_determinize(d)
         reachable = len(oracle._reachable_states(d))
         complexity = oracle.minimize(subset_dfa).n

@@ -74,6 +74,9 @@ def test_reference_sizes():
     assert j_trivial_size(13) == 1302061345
     # n = 1 has a single transformation, so every class tops out at 1
     assert (finite_language_size(1), j_trivial_size(1), r_trivial_size(1)) == (1, 1, 1)
+    for size in (finite_language_size, j_trivial_size, r_trivial_size):
+        with pytest.raises(ValueError, match="at least 1"):
+            size(0)
 
 
 def test_j_trivial_is_exact_floor():
@@ -133,6 +136,8 @@ def test_semiconstant_sum_k_partial():
     assert semiconstant_sum_k_partial(f_bipath2, 2, f_bipath2, 2, 0) == 47
     # the k = 0 second term collapses to |Q_A| constant-image choices
     assert semiconstant_sum_k_partial(lambda k: 1, 5, lambda k: 1, 3, 0) == 1 + 5
+    with pytest.raises(ValueError, match="non-negative"):
+        semiconstant_sum_k_partial(f_bipath2, 2, f_bipath2, 2, -1)
 
 
 def test_sctree_sizes():

@@ -1,13 +1,13 @@
 """Reversal and product experiment drivers (small runs; acceptance runs full scale)."""
 
 import hashlib
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 import automata_oracle as oracle
 import rng_oracle as per_draw
-from aperiodic import experiments, rng as rng_module
+from aperiodic import experiments
 from aperiodic.automata import (
     SUBSET_LIMIT,
     Dfa,
@@ -19,13 +19,14 @@ from aperiodic.experiments import (
     _TWO_STATE,
     TWO_STATE_VARIANTS,
     _family_dfas,
+    _forest,
     concatenation_bound,
     family_products,
     random_aperiodic_dfa,
     reversal_experiment,
     reversal_record,
 )
-from aperiodic.rng import BLOCK, SplitMix64
+from aperiodic.rng import SplitMix64
 from aperiodic.semigroups import aperiodic_transformations, closure, is_aperiodic
 from aperiodic.transforms import Transformation
 
@@ -63,8 +64,8 @@ def test_splitmix_blocks_match_per_draw_oracle():
     # small, rejection-heavy (about half of the raw outputs redrawn), a quarter
     # redrawn, and the whole 64-bit range
     bounds = (1, 2, 7, 2**20 - 2, 2**63 + 1, 3 * 2**62 + 1, 2**64)
-    # counts that stop short of, end on and cross block boundaries
-    counts = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
+    # counts from none to a few thousand draws
+    counts = (0, 1, 511, 512, 513, 1541)
     for seed in (0, 1, -1, 2**64 + 5):
         ours, oracle = SplitMix64(seed), per_draw.SplitMix64(seed)
         for bound in bounds:
@@ -77,28 +78,13 @@ def test_splitmix_blocks_match_per_draw_oracle():
             assert ours.draws(bound, 1) == [oracle.below(bound)]
 
 
-def test_splitmix_computes_blocks_on_demand(monkeypatch):
-    block, made = rng_module._block, []
-
-    def counting_block(start):
-        made.append(start)
-        return block(start)
-
-    monkeypatch.setattr(rng_module, "_block", counting_block)
-    rng = SplitMix64(5)
-    assert made == []
-    rng.draws(2**64, BLOCK)
-    assert len(made) == 1
-    rng.draws(2**64, 1)
-    assert len(made) == 2
+def test_splitmix_computes_blocks_on_demand():
     # a refused draw reads nothing: the stream goes on where it stopped
     rng = SplitMix64(5)
-    made.clear()
     for bound in (0, -1, 2**64 + 1):
         for count in (0, 1):
             with pytest.raises(ValueError):
                 rng.draws(bound, count)
-    assert made == []
     assert rng.draws(2**64, 1) == [per_draw.SplitMix64(5).next64()]
 
 
@@ -122,13 +108,31 @@ def test_random_aperiodic_dfa_refuses_n_outside_2_64_before_drawing():
 
 
 def test_random_aperiodic_dfa_pinned():
-    digest = hashlib.sha256()
+    digest, reference = hashlib.sha256(), hashlib.sha256()
     for seed in range(1, 21):
         for n in range(4, 9):
             digest.update(random_aperiodic_dfa(n, SplitMix64(seed)).to_text().encode())
-    # pinned from the sampler that closed every draw in full before testing it
-    assert digest.hexdigest() == (
-        "a34d23d90fb0efd6f06f4fbaf477a8b58fbbd9a2765b7d3cc8f664f6d4b64698")
+            reference.update(
+                per_draw.sample_aperiodic_dfa(n, per_draw.SplitMix64(seed)).to_text().encode())
+    assert digest.hexdigest() == reference.hexdigest() == (
+        "9f7082b8d97df9ab9928d4eb4f7b0eba591189288ae4590e9157dce60f7e8624")
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_forest_decodes_prufer_codes_onto_the_cycle_free_maps(n):
+    codes = list(product(range(n + 1), repeat=n - 1))
+    maps = [_forest(list(code), n) for code in codes]
+    assert len(set(maps)) == len(codes) == (n + 1) ** (n - 1)
+    assert sorted(maps) == aperiodic_transformations(n)
+    # the heap-based decode of the sampler's oracle agrees code by code
+    assert maps == [bytes(per_draw.heap_forest(list(code), n).images) for code in codes]
+
+
+def test_random_aperiodic_dfa_gives_up_after_the_attempt_limit(monkeypatch):
+    monkeypatch.setattr(experiments, "SAMPLE_ATTEMPTS", 1)
+    monkeypatch.setattr(experiments, "_closes_aperiodic", lambda letters: False)
+    with pytest.raises(RuntimeError, match="attempt limit"):
+        random_aperiodic_dfa(4, SplitMix64(1))
 
 
 def test_reversal_experiment_small():
@@ -148,14 +152,20 @@ def test_reversal_experiment_draws_only_the_dfas():
     assert reversal_experiment(3, 12, ns) == [reversal_record(d) for d in dfas]
 
 
-@pytest.mark.parametrize("ns", [(), (4, 1), (SUBSET_LIMIT + 1,)])
-def test_reversal_experiment_refuses_sizes_before_drawing(monkeypatch, ns):
+@pytest.mark.parametrize("ns, count, message", [
+    ((), 3, f"2 <= n <= {SUBSET_LIMIT}"),
+    ((4, 1), 3, f"2 <= n <= {SUBSET_LIMIT}"),
+    ((SUBSET_LIMIT + 1,), 3, f"2 <= n <= {SUBSET_LIMIT}"),
+    ((2, 3), -1, "count must be at least 0"),
+], ids=["ns0", "ns1", "ns2", "negative-count"])
+def test_reversal_experiment_refuses_sizes_before_drawing(monkeypatch, ns, count, message):
     def no_draw(n, rng):
         raise AssertionError("drew a DFA")
 
     monkeypatch.setattr(experiments, "random_aperiodic_dfa", no_draw)
-    with pytest.raises(ValueError, match=f"2 <= n <= {SUBSET_LIMIT}"):
-        reversal_experiment(1, 3, ns)
+    with pytest.raises(ValueError, match=message):
+        reversal_experiment(1, count, ns)
+    assert reversal_experiment(1, 0, (2, 3)) == []
 
 
 def two_state_dfa(variant, final_state: int) -> Dfa:

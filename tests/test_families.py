@@ -12,6 +12,7 @@ from aperiodic.combinatorics import sctree_size
 from aperiodic.families import (
     MAX_STRUCTURE_DEPTH,
     Distribution,
+    StructureTree,
     build_family,
     count_structures,
     enumerate_distributions,
@@ -47,6 +48,17 @@ def test_distribution_basics():
         parse_distribution("(3,0)")
     with pytest.raises(ValueError):
         parse_distribution("()")
+    with pytest.raises(ValueError, match="at least one part"):
+        Distribution(())
+
+
+def test_structure_tree_invariants():
+    with pytest.raises(ValueError, match="a leaf has no children"):
+        StructureTree(leaf=2, left=leaf(1), right=leaf(1))
+    with pytest.raises(ValueError, match="leaf size must be positive"):
+        StructureTree(leaf=0)
+    with pytest.raises(ValueError, match="needs both children"):
+        StructureTree(left=leaf(1))
 
 
 def test_parse_structure_examples():
@@ -281,6 +293,8 @@ def test_distribution_enumeration():
     assert [d.parts for d in dists] == [(1, 1, 1), (1, 2), (2, 1), (3,)]
     for n in range(1, 11):
         assert len(list(enumerate_distributions(n))) == 2 ** (n - 1)
+    with pytest.raises(ValueError, match="at least 1"):
+        next(enumerate_distributions(0))
 
 
 def catalan_binomial_transform(n: int) -> int:
@@ -299,3 +313,7 @@ def test_structure_counts():
     for n in range(1, 13):
         assert count_structures(n) == catalan_binomial_transform(n)
         assert count_structures(n) == STRUCTURE_COUNTS[n]
+    with pytest.raises(ValueError, match="at least 1"):
+        count_structures(0)
+    with pytest.raises(ValueError, match="at least 1"):
+        next(enumerate_structures(0))

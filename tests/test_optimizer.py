@@ -43,6 +43,10 @@ def test_max_unitary_small():
     value, witness = max_unitary(4)
     assert value == 45 and witness == Distribution((2, 2))
     assert max_unitary(8)[0] == 121500
+    with pytest.raises(ValueError, match="non-negative"):
+        UiDpTable.compute(-1)
+    with pytest.raises(ValueError, match="at least 1"):
+        max_unitary(0)
 
 
 def test_max_unitary_known_range():
@@ -73,6 +77,10 @@ def test_max_sctree_small():
     value, witness = max_sctree(6)
     assert value == 1849 and str(witness) == "((2,2),2)"
     assert max_sctree(10)[0] == SC_TREE[10]
+    with pytest.raises(ValueError, match="at least 1"):
+        SctiDpTable.compute(0)
+    with pytest.raises(ValueError, match="at least 1"):
+        max_sctree(0)
 
 
 def test_max_sctree_known_range():

@@ -1,5 +1,6 @@
 """Bounded exhaustive search for maximal aperiodic semigroups."""
 
+import dataclasses
 import functools
 import hashlib
 import inspect
@@ -31,6 +32,14 @@ from search_oracle import max_aperiodic_uncached
 def test_candidate_pool_counts():
     for n in range(1, 6):
         assert len(aperiodic_transformations(n)) == (n + 1) ** (n - 1)
+
+
+def test_orbit_minimal_roots_are_the_unlabeled_rooted_forests():
+    # a cycle-free map is a rooted forest on its states and a relabeling
+    # orbit an unlabeled one: A000081(n + 1) of them on n nodes
+    roots = [sum(search._orbit_minimal(c, n) for c in aperiodic_transformations(n))
+             for n in range(1, 7)]
+    assert roots == [1, 2, 4, 9, 20, 48]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -334,3 +343,5 @@ def test_witness_generators_close_to_reported_size():
     result = max_aperiodic(3)
     s = closure(result.generators)
     assert len(s) == result.size and is_aperiodic(s)
+    with pytest.raises(AssertionError, match="re-verification"):
+        dataclasses.replace(result, size=result.size + 1).verify()

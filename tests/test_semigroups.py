@@ -78,6 +78,10 @@ def test_closure_budget_truncation():
     s = closure(gens, element_budget=6 * 3)  # room for 6 of the 8 elements
     assert s.truncated
     assert len(s) == 6
+    assert repr(s) == "Semigroup(n=3, |S|=6, truncated)"
+    # membership takes a Transformation or its image bytes, and nothing else
+    assert (s.element_arrays()[0] in s, s.elements[0] in s) == (True, True)
+    assert s.elements[0].images not in s
     with pytest.raises(ValueError):
         is_aperiodic(s)
     with pytest.raises(ValueError):

@@ -50,6 +50,9 @@ def test_compose_pointwise():
     # hand application of q(t1 t2) = (q t1) t2
     assert compose(t(1, 1, 2), t(0, 2, 2)) == t(2, 2, 2)
     assert compose(t(1, 0), t(1, 0)) == t(0, 1)
+    # t1 * t2 applies t1 first, and t(q) is q's image
+    assert t(1, 1, 2) * t(0, 2, 2) == t(2, 2, 2)
+    assert [t(1, 1, 2)(q) for q in range(3)] == [1, 1, 2]
     with pytest.raises(ValueError):
         compose(t(0, 1), t(0, 1, 2))
 
