@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -265,10 +266,14 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_search(args) -> int:
+    # --max-seconds on its own asks for a run of that length: no product cap
+    max_products = args.max_products
+    if max_products is None:
+        max_products = DEFAULT_MAX_PRODUCTS if args.max_seconds is None else math.inf
     result = max_aperiodic(
         args.n,
-        max_products=args.max_products,
-        max_seconds=args.max_seconds,
+        max_products=max_products,
+        max_seconds=DEFAULT_MAX_SECONDS if args.max_seconds is None else args.max_seconds,
         seed_with_family=not args.no_seed,
         checkpoint_path=args.checkpoint,
     )
@@ -420,8 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="budgeted depth-first search for the aperiodic maximum")
     p.add_argument("n", type=int)
-    p.add_argument("--max-products", type=int, default=DEFAULT_MAX_PRODUCTS)
-    p.add_argument("--max-seconds", type=float, default=DEFAULT_MAX_SECONDS)
+    p.add_argument("--max-products", type=int,
+                   help=f"product budget (default {DEFAULT_MAX_PRODUCTS:,}, "
+                        "or none when --max-seconds is given)")
+    p.add_argument("--max-seconds", type=float,
+                   help=f"time budget (default {DEFAULT_MAX_SECONDS:g})")
     p.add_argument("--checkpoint", help="resume file (a header, then one explored branch "
                                         "per line with its best size and witness)")
     p.add_argument("--no-seed", action="store_true",

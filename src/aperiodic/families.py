@@ -14,8 +14,10 @@ u = Types 1+2, ui = u + identity, sct = Types 1+2+3, scti = sct + identity.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import compress, product
+from operator import sub
 
 from .automata import Dfa
 from .transforms import Transformation, identity, semiconstant, unitary
@@ -65,16 +67,14 @@ class Distribution:
 
 
 def parse_distribution(text: str) -> Distribution:
-    """Parse "(n1,n2,...,nm)"; the parentheses are optional."""
+    """Parse "(n1,n2,...,nm)"; the parentheses are optional, every part is digits."""
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
     items = [s.strip() for s in body.split(",")]
-    try:
-        parts = tuple(int(s) for s in items)
-    except ValueError:
-        raise ValueError(f"bad distribution {text!r}") from None
-    return Distribution(parts)
+    if not all(s.isdecimal() for s in items):
+        raise ValueError(f"bad distribution {text!r}")
+    return Distribution(tuple(map(int, items)))
 
 
 @dataclass(frozen=True)
@@ -144,11 +144,16 @@ def node(left: StructureTree, right: StructureTree) -> StructureTree:
     return StructureTree(left=left, right=right)
 
 
-# Deepest bracket nesting parse_structure accepts.  The tree methods and the
-# size recursion descend one to three Python frames per level, so this keeps
-# every consumer of a parsed tree far below the interpreter's recursion
-# limit; the witness of every maximal tree up to n = 500 is 10 levels deep.
+# Deepest bracket nesting parse_structure accepts.  The parser keeps one list
+# entry per open bracket, but the tree methods and the size recursion descend
+# one to three Python frames per level, so this keeps every consumer of a
+# parsed tree far below the interpreter's recursion limit; the witness of
+# every maximal tree up to n = 500 is 10 levels deep.
 MAX_STRUCTURE_DEPTH = 200
+
+
+def _parse_error(pos: int, msg: str) -> ValueError:
+    return ValueError(f"structure parse error at position {pos}: {msg}")
 
 
 def parse_structure(text: str) -> StructureTree:
@@ -157,53 +162,41 @@ def parse_structure(text: str) -> StructureTree:
     Grammar: expr := INT | "(" expr "," expr ")" with INT >= 1; whitespace is
     ignored; anything left over after one expression is an error, and so is
     nesting deeper than MAX_STRUCTURE_DEPTH.  Errors report the character
-    position.
+    position.  One pass over the tokens: ``opened`` holds, per open bracket,
+    None until its ',' is read and then its left subtree; ``tree`` is the
+    expression just finished, None while one is expected.
     """
-    pos = 0
-
-    def error(msg):
-        raise ValueError(f"structure parse error at position {pos}: {msg}")
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def expr(depth: int) -> StructureTree:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text):
-            error("unexpected end of input")
-        ch = text[pos]
-        if ch == "(":
-            if depth == MAX_STRUCTURE_DEPTH:
-                error(f"brackets nested deeper than {MAX_STRUCTURE_DEPTH} levels")
-            pos += 1
-            left_tree = expr(depth + 1)
-            skip_ws()
-            if pos >= len(text) or text[pos] != ",":
-                error("expected ','")
-            pos += 1
-            right_tree = expr(depth + 1)
-            skip_ws()
-            if pos >= len(text) or text[pos] != ")":
-                error("expected ')'")
-            pos += 1
-            return node(left_tree, right_tree)
-        if ch.isdecimal():
-            start = pos
-            while pos < len(text) and text[pos].isdecimal():
-                pos += 1
-            value = int(text[start:pos])
-            if value < 1:
-                error("leaf size must be positive")
-            return leaf(value)
-        error(f"unexpected character {ch!r}")
-
-    tree = expr(0)
-    skip_ws()
-    if pos != len(text):
-        error("trailing input")
+    opened: list[StructureTree | None] = []
+    tree = None
+    for token in re.finditer(r"\d+|\S", text):
+        word = token.group()
+        if tree is not None:
+            if not opened:
+                raise _parse_error(token.start(), "trailing input")
+            want = "," if opened[-1] is None else ")"
+            if word != want:
+                raise _parse_error(token.start(), f"expected {want!r}")
+            if word == ",":
+                opened[-1], tree = tree, None
+            else:
+                tree = node(opened.pop(), tree)
+        elif word == "(":
+            if len(opened) == MAX_STRUCTURE_DEPTH:
+                raise _parse_error(
+                    token.start(), f"brackets nested deeper than {MAX_STRUCTURE_DEPTH} levels")
+            opened.append(None)
+        elif word.isdecimal():
+            size = int(word)
+            if size < 1:
+                raise _parse_error(token.end(), "leaf size must be positive")
+            tree = leaf(size)
+        else:
+            raise _parse_error(token.start(), f"unexpected character {word!r}")
+    if tree is None:
+        raise _parse_error(len(text), "unexpected end of input")
+    if opened:
+        want = "," if opened[-1] is None else ")"
+        raise _parse_error(len(text), f"expected {want!r}")
     return tree
 
 
@@ -299,32 +292,30 @@ def build_family(kind: str, spec) -> Dfa:
 
 
 def enumerate_distributions(n: int):
-    """Yield all distributions of n in lexicographic part order."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    """Yield all distributions of n in lexicographic part order.
 
-    def go(remaining, prefix):
-        if remaining == 0:
-            yield Distribution(tuple(prefix))
-            return
-        for first in range(1, remaining + 1):
-            prefix.append(first)
-            yield from go(remaining - first, prefix)
-            prefix.pop()
-
-    yield from go(n, [])
-
-
-@lru_cache(maxsize=None)
-def count_structures(n: int) -> int:
-    """Number of structure trees of n: s(n) = 1 + sum s(a) s(n-a).
-
-    Cross-checked in tests against the binomial transform of the Catalan
-    numbers, sum over k of C(n-1,k) Cat(k).
+    Each distribution is n - 1 flags, "a block ends after state q"; True
+    comes first, so (1,...,1) comes first and (n) last.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return 1 + sum(count_structures(a) * count_structures(n - a) for a in range(1, n))
+    for ends in product((True, False), repeat=n - 1):
+        cuts = (0, *compress(range(1, n), ends), n)
+        yield Distribution(tuple(map(sub, cuts[1:], cuts)))
+
+
+def count_structures(n: int) -> int:
+    """Number of structure trees of n: s(m) = 1 + sum s(a) s(m-a), bottom up.
+
+    Cross-checked in tests against the binomial transform of the Catalan
+    numbers, sum over k of C(n-1,k) Cat(k) (OEIS A007317).
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    s = [0, 1]
+    for m in range(2, n + 1):
+        s.append(1 + sum(s[a] * s[m - a] for a in range(1, m)))
+    return s[n]
 
 
 def enumerate_structures(n: int):

@@ -185,11 +185,11 @@ def max_aperiodic(
     branch line that no run writes (``_read_checkpoint``; a stored size is
     re-closed but not re-searched, so it is trusted to be its branch's best),
     n outside 1..``MAX_SEARCH_N``, ``max_products`` below 1 and
-    ``max_seconds`` not above 0 (``nan`` included).
+    ``max_seconds`` not above 0 (``nan`` included in both).
     """
     if not 1 <= n <= MAX_SEARCH_N:
         raise ValueError(f"search needs 1 <= n <= {MAX_SEARCH_N}")
-    if max_products < 1:
+    if not max_products >= 1:
         raise ValueError("search needs max_products >= 1")
     if not max_seconds > 0:
         raise ValueError("search needs max_seconds > 0")

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -244,6 +245,8 @@ def test_optimize_commands(capsys):
     ("search", "3", "--no-seed", "--max-seconds", "-1"),
     ("search", "3", "--no-seed", "--max-seconds", "0"),
     ("search", "3", "--no-seed", "--max-seconds", "nan"),
+    ("family", "ui", "(2_0)"),  # int() would read these as (20) and (2,1)
+    ("family", "ui", "(+2,1)"),
     ("reversal", "--random", "--n", "0"),
     ("reversal", "--random", "--n", "21"),
     ("reversal", "--random", "--n", "70"),
@@ -289,6 +292,25 @@ def test_search_command(capsys):
     assert code == 0
     row = json.loads(out)["rows"][0]
     assert row["value"] == "3" and row["exhaustive"] is True
+
+
+@pytest.mark.parametrize("flags, budget", [
+    ((), (cli.DEFAULT_MAX_PRODUCTS, cli.DEFAULT_MAX_SECONDS)),
+    (("--max-seconds", "600"), (math.inf, 600.0)),
+    (("--max-products", "1000"), (1000, cli.DEFAULT_MAX_SECONDS)),
+    (("--max-products", "1000", "--max-seconds", "600"), (1000, 600.0)),
+])
+def test_search_max_seconds_alone_lifts_the_product_cap(capsys, monkeypatch, flags, budget):
+    calls = []
+
+    def record(n, max_products, max_seconds, **_):
+        calls.append((max_products, max_seconds))
+        raise ValueError("recorded")
+
+    monkeypatch.setattr(cli, "max_aperiodic", record)
+    code, _, err = run(capsys, "search", "5", "--no-seed", *flags)
+    assert code == 2 and err == "error: recorded\n"
+    assert calls == [budget]
 
 
 def test_search_provenance_follows_coverage(capsys):

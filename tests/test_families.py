@@ -75,18 +75,20 @@ def test_parse_structure_examples():
 
 
 def test_parse_structure_errors():
-    for text, fragment in [
-        ("(3,2", "expected ')'"),
-        ("(3 2)", "expected ','"),
-        ("((3,2)", "expected ','"),
-        ("3,2", "trailing input"),
-        ("", "unexpected end"),
-        ("(a,2)", "unexpected character"),
+    for text, message in [
+        ("0", "position 1: leaf size must be positive"),
+        ("(3,2", "position 4: expected ')'"),
+        ("(3 2)", "position 3: expected ','"),
+        ("((3,2)", "position 6: expected ','"),
+        ("3,2", "position 1: trailing input"),
+        ("", "position 0: unexpected end of input"),
+        ("  ", "position 2: unexpected end of input"),
+        ("(a,2)", "position 1: unexpected character 'a'"),
+        ("(" * 201, "position 200: brackets nested deeper than 200 levels"),
     ]:
         with pytest.raises(ValueError) as err:
             parse_structure(text)
-        assert "position" in str(err.value)
-        assert fragment.split()[0] in str(err.value)
+        assert str(err.value) == f"structure parse error at {message}"
 
 
 def _chain(depth: int) -> str:
@@ -129,6 +131,13 @@ def test_parse_distribution_raises_only_value_error(text):
         parse_distribution(text)
     except ValueError:
         pass
+
+
+def test_parse_distribution_refuses_python_integer_syntax():
+    assert parse_distribution(" ( 2 , 3 ) ") == Distribution((2, 3))
+    for text in ["(2_0)", "(+2,1)", "(-1)", "(2,)", "(0x2)"]:
+        with pytest.raises(ValueError, match="bad distribution"):
+            parse_distribution(text)
 
 
 def test_structure_roundtrip():
@@ -297,6 +306,20 @@ def test_distribution_enumeration():
         next(enumerate_distributions(0))
 
 
+def test_distribution_enumeration_is_the_sorted_compositions():
+    def compositions(n):
+        if n == 0:
+            return [()]
+        return [(first, *rest) for first in range(1, n + 1) for rest in compositions(n - first)]
+
+    for n in range(1, 11):
+        assert [d.parts for d in enumerate_distributions(n)] == sorted(compositions(n))
+
+
+def test_distribution_enumeration_does_not_recurse():
+    assert next(enumerate_distributions(1500)).parts == (1,) * 1500
+
+
 def catalan_binomial_transform(n: int) -> int:
     """Independent count of structures: sum over k of C(n-1,k) * Catalan(k)."""
     return sum(comb(n - 1, k) * comb(2 * k, k) // (k + 1) for k in range(n))
@@ -313,6 +336,7 @@ def test_structure_counts():
     for n in range(1, 13):
         assert count_structures(n) == catalan_binomial_transform(n)
         assert count_structures(n) == STRUCTURE_COUNTS[n]
+    assert count_structures(500) == catalan_binomial_transform(500)
     with pytest.raises(ValueError, match="at least 1"):
         count_structures(0)
     with pytest.raises(ValueError, match="at least 1"):

@@ -1,6 +1,7 @@
 """The README's library tour runs as written; its CLI lines parse; its module
 map has one row per module; the package exports its API and no module; no
-library module imports a name it does not use."""
+library module imports a name it does not use or defines a private helper
+that nothing calls."""
 
 import ast
 import re
@@ -61,3 +62,25 @@ def test_library_modules_use_every_name_they_import():
                 imported.update(alias.asname or alias.name for alias in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} imports {sorted(imported - used)} unused"
+
+
+def test_library_has_no_private_helper_that_nothing_calls():
+    # a module-level _name must be referenced somewhere outside its own def
+    statements = [(path.name, stmt)
+                  for path in sorted((ROOT / "src" / "aperiodic").glob("*.py"))
+                  for stmt in ast.parse(path.read_text()).body]
+    references = []
+    for _, stmt in statements:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        references.append(names)
+    for (module, stmt), own in zip(statements, references):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_"):
+            assert any(stmt.name in names for names in references if names is not own), \
+                f"{module} defines {stmt.name}, which nothing calls"

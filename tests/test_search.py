@@ -5,6 +5,7 @@ import functools
 import hashlib
 import inspect
 import json
+import math
 import random
 import sys
 
@@ -40,6 +41,12 @@ def test_orbit_minimal_roots_are_the_unlabeled_rooted_forests():
     roots = [sum(search._orbit_minimal(c, n) for c in aperiodic_transformations(n))
              for n in range(1, 7)]
     assert roots == [1, 2, 4, 9, 20, 48]
+
+
+def test_max_aperiodic_refuses_a_nan_product_budget():
+    # the CLI's int flag cannot pass NaN, so only the library sees it
+    with pytest.raises(ValueError, match="max_products >= 1"):
+        max_aperiodic(3, seed_with_family=False, max_products=math.nan)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
