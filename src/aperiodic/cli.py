@@ -117,9 +117,27 @@ def _close(d):
     return s, None if s.truncated else is_aperiodic(s)
 
 
-def _search_provenance(result) -> str:
+def _decimal(value: int) -> str:
+    """The exact decimal string of a size of any length.
+
+    CPython refuses int-to-str conversions beyond 4,300 digits by default,
+    a guard against slow parsing of input; it is lifted for this one output
+    conversion only and then restored, so argv and DFA files keep it.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python 3.10 before 3.10.7: no limit
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _search_provenance(result, seeded: bool) -> str:
     if not result.exhaustive:
-        return "search-bounded"
+        # a cut run seeded with the scti witness may report the seed's size
+        return "search-seeded" if seeded else "search-bounded"
     # covered, but the branches read from the checkpoint were trusted, not searched
     return "search-resumed" if result.resumed else "search"
 
@@ -132,18 +150,18 @@ def _table_value(cls: str, n: int, ui_table, scti_table):
     """
     if cls in _FORMULAS:
         least, size = _FORMULAS[cls]
-        return (str(size(n)) if n >= least else "-"), None, "formula"
+        return (_decimal(size(n)) if n >= least else "-"), None, "formula"
     if cls == "aperiodic":
         if n > SEARCH_CAP:
             return "?", None, "none"
         result = max_aperiodic(n, max_products=TABLE_SEARCH_PRODUCTS,
                                max_seconds=TABLE_SEARCH_SECONDS)
-        return str(result.size), None, _search_provenance(result)
+        return _decimal(result.size), None, _search_provenance(result, seeded=True)
     if cls == "comp-unitary-1":
-        return str(ui_table.values[n]), str(ui_table.witness(n)), "dp"
+        return _decimal(ui_table.values[n]), str(ui_table.witness(n)), "dp"
     if n > SCTI_CAP:
         return "?", None, "none"
-    return str(scti_table.value(n)), str(scti_table.witness(n)), "dp"
+    return _decimal(scti_table.value(n)), str(scti_table.witness(n)), "dp"
 
 
 def cmd_table(args) -> int:
@@ -214,7 +232,7 @@ def cmd_family(args) -> int:
     value = comb.unitary_family_size(spec) if unitary else comb.sctree_size(spec)
     # without the identity letter (u, sct) the identity is not a product
     value -= args.kind in ("u", "sct")
-    row = {"family": args.kind, "spec": str(spec), "n": spec.n, "value": str(value),
+    row = {"family": args.kind, "spec": str(spec), "n": spec.n, "value": _decimal(value),
            "provenance": "formula"}
     failures = []
     d = build_family(args.kind, spec) if args.emit_dfa or args.verify else None
@@ -255,7 +273,7 @@ def cmd_optimize(args) -> int:
     row = {
         "kind": args.kind,
         "n": args.n,
-        "value": str(value),
+        "value": _decimal(value),
         "witness": str(witness),
         "provenance": "dp",
         "seconds": round(elapsed, 3),
@@ -279,12 +297,12 @@ def cmd_search(args) -> int:
     )
     row = {
         "n": args.n,
-        "value": str(result.size),
+        "value": _decimal(result.size),
         "witness": " ".join(str(g) for g in result.generators),
         "exhaustive": result.exhaustive,
         "distinct_maxima": result.distinct_maxima,
         "products": result.products_used,
-        "provenance": _search_provenance(result),
+        "provenance": _search_provenance(result, seeded=not args.no_seed),
         "seconds": round(result.elapsed, 3),
     }
     return _emit(args, [row],

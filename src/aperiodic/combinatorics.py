@@ -107,15 +107,16 @@ def unitary_family_size(dist: Distribution) -> int:
     return value
 
 
-def semiconstant_sum_k_partial(f_a, n_a: int, f_b, n_b: int, k: int) -> int:
+def semiconstant_sum_k_partial(count_a: int, n_a: int, count_b: int, n_b: int, k: int) -> int:
     """Consistent k-partial count of a semiconstant sum, from the parts.
 
     f_a and f_b count consistent k-partials of the two (strongly connected)
-    summands: the result is f_a(n_b + k) * f_b(k) + n_a (k+1)^n_a ((k+1)^n_b - k^n_b).
+    summands: the result is f_a(n_b + k) * f_b(k) + n_a (k+1)^n_a ((k+1)^n_b - k^n_b),
+    and the caller passes the counts count_a = f_a(n_b + k) and count_b = f_b(k).
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    return f_a(n_b + k) * f_b(k) + n_a * (k + 1) ** n_a * ((k + 1) ** n_b - k**n_b)
+    return count_a * count_b + n_a * (k + 1) ** n_a * ((k + 1) ** n_b - k**n_b)
 
 
 def sctree_k_partial(tree: StructureTree, k: int) -> int:
@@ -123,16 +124,18 @@ def sctree_k_partial(tree: StructureTree, k: int) -> int:
 
     Leaf of size n: m_bi(n,k).  Internal node: combine the left count at
     r + k and the right count at k, where r is the right subtree's state
-    count.
+    count.  So a subtree with s states after it counts at s + k; the reversed
+    preorder stacks both children's counts, left on top, before their parent.
     """
-    if tree.is_leaf:
-        return bipath_k_partial(tree.leaf, k)
-    left, right = tree.left, tree.right
-    return semiconstant_sum_k_partial(
-        lambda kk: sctree_k_partial(left, kk), left.n,
-        lambda kk: sctree_k_partial(right, kk), right.n,
-        k,
-    )
+    counts = []
+    for sub, before in reversed(list(tree.preorder())):
+        at = tree.n - before - sub.n + k
+        if sub.is_leaf:
+            counts.append(bipath_k_partial(sub.leaf, at))
+        else:
+            left, right = counts.pop(), counts.pop()
+            counts.append(semiconstant_sum_k_partial(left, sub.left.n, right, sub.right.n, at))
+    return counts.pop()
 
 
 def sctree_size(tree: StructureTree) -> int:

@@ -2,6 +2,8 @@
 
 A distribution (n_1,...,n_m) splits Q into consecutive blocks; a structure
 tree is a full binary tree whose leaves carry the block sizes left to right.
+Trees nest to any depth: each walk is one loop over an explicit stack, and
+only ``enumerate_structures`` recurses, n levels deep.
 The families are built from four kinds of generators:
 
   Type 1  within each block, both unitary moves between adjacent states
@@ -15,7 +17,7 @@ u = Types 1+2, ui = u + identity, sct = Types 1+2+3, scti = sct + identity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, product
 from operator import sub
 
@@ -79,11 +81,15 @@ def parse_distribution(text: str) -> Distribution:
 
 @dataclass(frozen=True)
 class StructureTree:
-    """A full binary tree over the blocks: either a leaf size or two subtrees."""
+    """A full binary tree over the blocks: either a leaf size or two subtrees.
+
+    ``n`` is set at construction; ``==``, ``hash`` and ``repr`` go through ``str``.
+    """
 
     leaf: int | None = None
     left: "StructureTree | None" = None
     right: "StructureTree | None" = None
+    n: int = field(init=False)
 
     def __post_init__(self):
         if self.leaf is not None:
@@ -93,47 +99,49 @@ class StructureTree:
                 raise ValueError("leaf size must be positive")
         elif self.left is None or self.right is None:
             raise ValueError("an internal node needs both children")
+        object.__setattr__(self, "n", self.leaf if self.is_leaf else self.left.n + self.right.n)
 
     @property
     def is_leaf(self) -> bool:
         return self.leaf is not None
 
-    @property
-    def n(self) -> int:
-        if self.is_leaf:
-            return self.leaf
-        return self.left.n + self.right.n
+    def preorder(self):
+        """Yield (subtree, states before it), root first, left before right."""
+        stack = [(self, 0)]
+        while stack:
+            tree, before = stack.pop()
+            yield tree, before
+            if not tree.is_leaf:
+                stack += ((tree.right, before + tree.left.n), (tree.left, before))
 
     def parts(self) -> tuple[int, ...]:
         """Leaf sizes left to right: the underlying distribution."""
-        if self.is_leaf:
-            return (self.leaf,)
-        return self.left.parts() + self.right.parts()
-
-    def distribution(self) -> Distribution:
-        return Distribution(self.parts())
+        return tuple(t.leaf for t, _ in self.preorder() if t.is_leaf)
 
     def internal_spans(self) -> tuple[tuple[int, int], ...]:
         """(start, end) state span per internal node, preorder (root first)."""
-        spans = []
-
-        def walk(t, lo):
-            if t.is_leaf:
-                return t.leaf
-            hole = len(spans)
-            spans.append(None)
-            ls = walk(t.left, lo)
-            rs = walk(t.right, lo + ls)
-            spans[hole] = (lo, lo + ls + rs)
-            return ls + rs
-
-        walk(self, 0)
-        return tuple(spans)
+        return tuple((lo, lo + t.n) for t, lo in self.preorder() if not t.is_leaf)
 
     def __str__(self) -> str:
-        if self.is_leaf:
-            return str(self.leaf)
-        return f"({self.left},{self.right})"
+        tokens, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, StructureTree):
+                tokens.append(item)
+            elif item.is_leaf:
+                tokens.append(str(item.leaf))
+            else:
+                stack += (")", item.right, ",", item.left, "(")
+        return "".join(tokens)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, StructureTree) and str(self) == str(other)
+
+    def __hash__(self) -> int:
+        return hash(str(self))
+
+    def __repr__(self) -> str:
+        return f"parse_structure({str(self)!r})"
 
 
 def leaf(size: int) -> StructureTree:
@@ -144,14 +152,6 @@ def node(left: StructureTree, right: StructureTree) -> StructureTree:
     return StructureTree(left=left, right=right)
 
 
-# Deepest bracket nesting parse_structure accepts.  The parser keeps one list
-# entry per open bracket, but the tree methods and the size recursion descend
-# one to three Python frames per level, so this keeps every consumer of a
-# parsed tree far below the interpreter's recursion limit; the witness of
-# every maximal tree up to n = 500 is 10 levels deep.
-MAX_STRUCTURE_DEPTH = 200
-
-
 def _parse_error(pos: int, msg: str) -> ValueError:
     return ValueError(f"structure parse error at position {pos}: {msg}")
 
@@ -160,11 +160,11 @@ def parse_structure(text: str) -> StructureTree:
     """Parse the binary expression form, e.g. "((3,2),(4,1))" or "5".
 
     Grammar: expr := INT | "(" expr "," expr ")" with INT >= 1; whitespace is
-    ignored; anything left over after one expression is an error, and so is
-    nesting deeper than MAX_STRUCTURE_DEPTH.  Errors report the character
-    position.  One pass over the tokens: ``opened`` holds, per open bracket,
-    None until its ',' is read and then its left subtree; ``tree`` is the
-    expression just finished, None while one is expected.
+    ignored; anything left over after one expression is an error, and
+    brackets may nest to any depth.  Errors report the character position.
+    One pass over the tokens: ``opened`` holds, per open bracket, None until
+    its ',' is read and then its left subtree; ``tree`` is the expression just
+    finished, None while one is expected.
     """
     opened: list[StructureTree | None] = []
     tree = None
@@ -181,9 +181,6 @@ def parse_structure(text: str) -> StructureTree:
             else:
                 tree = node(opened.pop(), tree)
         elif word == "(":
-            if len(opened) == MAX_STRUCTURE_DEPTH:
-                raise _parse_error(
-                    token.start(), f"brackets nested deeper than {MAX_STRUCTURE_DEPTH} levels")
             opened.append(None)
         elif word.isdecimal():
             size = int(word)
@@ -247,7 +244,7 @@ def family_generators(kind: str, spec) -> list[tuple[str, Transformation]]:
     else:
         if not isinstance(spec, StructureTree):
             raise ValueError("sct/scti families take a structure tree")
-        dist, tree = spec.distribution(), spec
+        dist, tree = Distribution(spec.parts()), spec
 
     letters: list[tuple[str, Transformation]] = []
     for t in type1_generators(dist) + type2_generators(dist):

@@ -10,12 +10,14 @@ non-decreasing maps (n!, the R-trivial maximum of Brzozowski and Li).
 with by grouping on the defined domain, and ``brute_k_partial`` counts
 them by enumerating every map.  ``semiconstant_sum`` joins two DFAs the
 way a structure tree's root joins its subtrees, so an scti family can be
-rebuilt from its two halves.
+rebuilt from its two halves.  The ``tree_*`` functions are the recursive
+definitions of the structure-tree walks, which the library runs as loops.
 """
 
 from itertools import product as iproduct
 
 from aperiodic.automata import Dfa
+from aperiodic.combinatorics import bipath_k_partial
 from aperiodic.semigroups import Semigroup
 from aperiodic.transforms import Transformation, semiconstant, unitary
 
@@ -121,3 +123,34 @@ def semiconstant_sum(a: Dfa, b: Dfa) -> Dfa:
         initial=a.initial,
         finals=frozenset(q + na for q in b.finals),
     )
+
+
+def tree_n(t) -> int:
+    return t.leaf if t.is_leaf else tree_n(t.left) + tree_n(t.right)
+
+
+def tree_str(t) -> str:
+    return str(t.leaf) if t.is_leaf else f"({tree_str(t.left)},{tree_str(t.right)})"
+
+
+def tree_parts(t) -> tuple[int, ...]:
+    return (t.leaf,) if t.is_leaf else tree_parts(t.left) + tree_parts(t.right)
+
+
+def tree_internal_spans(t, lo: int = 0) -> tuple[tuple[int, int], ...]:
+    """(start, end) per internal node, root first, then left, then right."""
+    if t.is_leaf:
+        return ()
+    mid = lo + tree_n(t.left)
+    return ((lo, lo + tree_n(t)), *tree_internal_spans(t.left, lo),
+            *tree_internal_spans(t.right, mid))
+
+
+def tree_k_partial(t, k: int) -> int:
+    """m_bi at a leaf; at a node, left at r + k times right at k, plus the
+    semiconstant term n_a (k+1)^n_a ((k+1)^n_b - k^n_b)."""
+    if t.is_leaf:
+        return bipath_k_partial(t.leaf, k)
+    n_a, n_b = tree_n(t.left), tree_n(t.right)
+    return (tree_k_partial(t.left, n_b + k) * tree_k_partial(t.right, k)
+            + n_a * (k + 1) ** n_a * ((k + 1) ** n_b - k**n_b))

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -48,7 +49,7 @@ def test_table_json_values_roundtrip(capsys):
     assert rows[("aperiodic", 5)]["provenance"] == "none"  # nothing was computed
     # only an exhaustive run is labelled a plain search
     assert rows[("aperiodic", 3)]["provenance"] == "search"
-    assert rows[("aperiodic", 4)]["provenance"] == "search-bounded"
+    assert rows[("aperiodic", 4)]["provenance"] == "search-seeded"  # the seed's 47
     assert rows[("part-mon", 1)]["value"] == "-"
     # n = 1 cells agree with optimize and family --verify
     assert (rows[("comp-unitary-1", 1)]["value"], rows[("comp-unitary-1", 1)]["witness"]) \
@@ -106,11 +107,33 @@ def test_family_parse_error(capsys):
 
 
 def test_family_deep_structure_exits_2(capsys):
+    # the innermost bracket reads (1,1,1): malformed at any depth
     deep = "(" * 1199 + "1,1" + ",1)" * 1199
     code, out, err = run(capsys, "family", "scti", deep)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "nested deeper" in err
+    assert err == "error: structure parse error at position 1202: expected ')'\n"
+
+
+def test_family_deep_chain_value(capsys):
+    chain = "(" * 1199 + "1,1)" + ",1)" * 1198
+    code, out, _ = run(capsys, "family", "scti", chain, "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["n"] == 1200 and row["value"] == str(sctree_size(parse_structure(chain)))
+
+
+def test_family_value_beyond_the_int_str_limit(capsys):
+    # C(17999, 9000) has 5,417 digits, past CPython's default 4,300
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "family", "ui", "(9000)", "--format", "json")
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    value = json.loads(out)["rows"][0]["value"]
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(value) == 5417 and int(value) == math.comb(17999, 9000)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_family_emit_and_closure_roundtrip(tmp_path, capsys):
@@ -322,7 +345,21 @@ def test_search_provenance_follows_coverage(capsys):
     code, out, _ = run(capsys, "search", "4", "--max-products", "1000", "--format", "json")
     assert code == 0
     row = json.loads(out)["rows"][0]
-    assert row["exhaustive"] is False and row["provenance"] == "search-bounded"
+    assert row["exhaustive"] is False and row["provenance"] == "search-seeded"
+
+
+def test_cut_search_provenance_names_the_seed(capsys):
+    # a budget-cut run reports the scti seed's size when it was seeded
+    rows = []
+    for flags in ((), ("--no-seed",)):
+        code, out, _ = run(capsys, "search", "5", "--max-products", "1000", *flags,
+                           "--format", "json")
+        assert code == 0
+        rows += json.loads(out)["rows"]
+    seeded, unseeded = rows
+    assert seeded["exhaustive"] is False and unseeded["exhaustive"] is False
+    assert (seeded["value"], seeded["provenance"]) == ("273", "search-seeded")
+    assert int(unseeded["value"]) < 273 and unseeded["provenance"] == "search-bounded"
 
 
 def test_table_cell_beyond_the_scti_cap(capsys, monkeypatch):
@@ -670,7 +707,7 @@ def test_experiment_outputs_pinned(capsys, argv, digest):
 
 @pytest.mark.parametrize("argv, digest", [
     (("table", "--max", "5"),
-     "dd597922cadf1783e4952fb26a9033fdcbeeaf3a7c4d200b7a0c78f95e74618c"),
+     "6d0eb25b1f58732b8dbd86e2fd70602fcec832c83b25717c5fe90853a623e924"),
     (("optimize", "ui", "13"),
      "113b479d1aade94e60d4479e9a288d89a1dc34b4cdcab2422f967caeb931e3e1"),
     (("optimize", "scti", "6"),

@@ -132,18 +132,32 @@ def test_sctree_nearly_monotonic_link():
 
 
 def test_semiconstant_sum_k_partial():
-    f_bipath2 = lambda k: bipath_k_partial(2, k)
-    assert semiconstant_sum_k_partial(f_bipath2, 2, f_bipath2, 2, 0) == 47
+    # the counts are f_a(n_b + k) and f_b(k): the (2,2) tree at k = 0
+    assert semiconstant_sum_k_partial(bipath_k_partial(2, 2), 2, bipath_k_partial(2, 0), 2, 0) \
+        == 47
     # the k = 0 second term collapses to |Q_A| constant-image choices
-    assert semiconstant_sum_k_partial(lambda k: 1, 5, lambda k: 1, 3, 0) == 1 + 5
+    assert semiconstant_sum_k_partial(1, 5, 1, 3, 0) == 1 + 5
     with pytest.raises(ValueError, match="non-negative"):
-        semiconstant_sum_k_partial(f_bipath2, 2, f_bipath2, 2, -1)
+        semiconstant_sum_k_partial(1, 2, 1, 2, -1)
 
 
 def test_sctree_sizes():
     assert sctree_size(parse_structure("(3,1)")) == 41
     assert sctree_size(parse_structure("((2,2),2)")) == 1849
     assert sctree_size(parse_structure("(2,2)")) == 47
+
+
+def test_sctree_size_of_a_deep_chain_matches_the_chain_loop():
+    # ((...((1,1),1)...),1) nested 3,000 deep: the i-th node from the inside
+    # has i states on its left and depth - i states after it, so it joins the
+    # chain below it, counted at k = depth - i + 1, and a leaf at k = depth - i
+    depth = 3000
+    tree = parse_structure("(" * depth + "1,1)" + ",1)" * (depth - 1))
+    value = bipath_k_partial(1, depth)  # the innermost left leaf, depth leaves after it
+    for i in range(1, depth + 1):
+        after = depth - i
+        value = semiconstant_sum_k_partial(value, i, bipath_k_partial(1, after), 1, after)
+    assert sctree_size(tree) == value
 
 
 def test_sctree_k_partial_matches_semigroup_counts():

@@ -8,9 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aperiodic.automata import is_minimal, transition_semigroup
-from aperiodic.combinatorics import sctree_size
+from aperiodic.combinatorics import sctree_k_partial, sctree_size
 from aperiodic.families import (
-    MAX_STRUCTURE_DEPTH,
     Distribution,
     StructureTree,
     build_family,
@@ -19,6 +18,7 @@ from aperiodic.families import (
     enumerate_structures,
     family_generators,
     leaf,
+    node,
     parse_distribution,
     parse_structure,
     type1_generators,
@@ -34,6 +34,11 @@ from size_oracle import (
     is_nondecreasing,
     is_partially_monotonic,
     semiconstant_sum,
+    tree_internal_spans,
+    tree_k_partial,
+    tree_n,
+    tree_parts,
+    tree_str,
 )
 
 
@@ -84,7 +89,7 @@ def test_parse_structure_errors():
         ("", "position 0: unexpected end of input"),
         ("  ", "position 2: unexpected end of input"),
         ("(a,2)", "position 1: unexpected character 'a'"),
-        ("(" * 201, "position 200: brackets nested deeper than 200 levels"),
+        ("(" * 100_000, "position 100000: unexpected end of input"),
     ]:
         with pytest.raises(ValueError) as err:
             parse_structure(text)
@@ -96,14 +101,36 @@ def _chain(depth: int) -> str:
     return "(" * depth + "1,1)" + ",1)" * (depth - 1)
 
 
-def test_parse_structure_depth_limit():
-    deepest = parse_structure(_chain(MAX_STRUCTURE_DEPTH))
-    assert str(deepest) == _chain(MAX_STRUCTURE_DEPTH)
-    assert deepest.n == MAX_STRUCTURE_DEPTH + 1 and sctree_size(deepest) > 0
-    with pytest.raises(ValueError, match="nested deeper"):
-        parse_structure(_chain(MAX_STRUCTURE_DEPTH + 1))
-    with pytest.raises(ValueError, match="nested deeper"):
-        parse_structure("(" * 100_000)
+def test_parse_structure_any_depth():
+    # far past the interpreter's recursion limit: every walk is a loop
+    depth = 20_000
+    text = _chain(depth)
+    deep = parse_structure(text)
+    assert str(deep) == text and deep.n == depth + 1
+    assert len(deep.internal_spans()) == depth and deep.parts() == (1,) * (depth + 1)
+    again = parse_structure(text)
+    assert deep == again and hash(deep) == hash(again)
+    assert deep != parse_structure(_chain(depth - 1))
+    assert repr(deep) == f"parse_structure({text!r})"
+
+
+def test_tree_walks_match_recursive_reference():
+    for n in range(1, 9):
+        for t in enumerate_structures(n):
+            assert (t.n, str(t), t.parts(), t.internal_spans()) \
+                == (tree_n(t), tree_str(t), tree_parts(t), tree_internal_spans(t))
+            for k in range(4):
+                assert sctree_k_partial(t, k) == tree_k_partial(t, k), (t, k)
+
+
+_TREES = st.recursive(st.integers(1, 30).map(leaf),
+                      lambda sub: st.tuples(sub, sub).map(lambda pair: node(*pair)))
+
+
+@given(_TREES)
+def test_structure_tree_str_round_trip(tree):
+    back = parse_structure(str(tree))
+    assert back == tree and hash(back) == hash(tree) and back.n == tree.n
 
 
 @given(st.text())

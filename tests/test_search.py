@@ -275,7 +275,7 @@ def test_clock_cut_stops_at_the_first_gap(tmp_path, capsys):
     code = main(["search", "3", "--max-seconds", "1e-9", "--checkpoint", str(path),
                  "--format", "json"])
     (row,) = json.loads(capsys.readouterr().out)["rows"]
-    assert code == 0 and row["provenance"] == "search-bounded"
+    assert code == 0 and row["provenance"] == "search-seeded"
     assert len(_lines(path)) == 1  # the header alone: no branch was finished
     rest = max_aperiodic(3, checkpoint_path=str(path))
     assert rest.exhaustive and rest.size == 10
